@@ -20,20 +20,19 @@ a dropped cache) still fail loudly.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-import io  # noqa: E402
-
-from repro.experiments.scale import run_population  # noqa: E402
-from repro.experiments.scenario import (  # noqa: E402
-    build_scenario,
-    run_pdagent_batch,
+from repro.experiments.scale import (  # noqa: E402
+    REGION_POPULATIONS,
+    run_population,
 )
-from repro.telemetry import TraceCollector  # noqa: E402
 
 #: Population used for the gate — small enough for CI, large enough that
 #: per-event costs dominate the (one-time) deployment build.
@@ -44,31 +43,32 @@ MAX_REGRESSION = 0.20
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_scale.json")
 
 
-#: Shard count for the sharded runtime gate (with one gateway per shard).
-GATE_SHARDS = 4
-#: Required aggregate events/sec speedup of the committed 5,000-device
-#: sharded row over the committed single-heap row.
-SHARDED_SPEEDUP_FLOOR = 2.0
-#: Large sharded rows that must be present in the committed baseline.
-REQUIRED_SHARDED_ROWS = ((5000, 10), (20000, 40), (50000, 100))
+#: Region count (and gateway count) for the region-routing identity gate.
+GATE_REGIONS = 4
+#: Required events/sec speedup of the committed 5,000-device region row
+#: over the committed 5,000-device plain row.
+REGION_SPEEDUP_FLOOR = 2.0
 
 
-def load_baseline(population: int = GATE_POPULATION, shards: int = 0) -> dict:
-    """The committed baseline entry for ``(population, shards)`` (or raise).
-
-    ``shards=0`` selects the classic single-heap row (rows written before
-    the sharded axis carry no ``shards`` field and default to 0).
-    """
+def load_doc() -> dict:
+    """The committed ``BENCH_scale.json`` document."""
     with open(BASELINE_PATH, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    for entry in doc["populations"]:
-        if (
-            entry["population"] == population
-            and entry.get("shards", 0) == shards
-        ):
+        return json.load(fh)
+
+
+def load_baseline(
+    population: int = GATE_POPULATION, regions: int = 0, doc: dict | None = None
+) -> dict:
+    """The baseline entry for ``(population, regions)`` (or raise).
+
+    ``regions=0`` selects the plain row; ``doc`` defaults to the committed
+    ``BENCH_scale.json``.
+    """
+    for entry in (doc or load_doc())["populations"]:
+        if entry["population"] == population and entry["regions"] == regions:
             return entry
     raise KeyError(
-        f"no baseline entry for population {population} (shards={shards})"
+        f"no baseline entry for population {population} (regions={regions})"
     )
 
 
@@ -107,93 +107,77 @@ def run_gate(population: int = GATE_POPULATION, seed: int = 0) -> dict:
     }
 
 
-def run_sharded_gate(
+def run_region_gate(
     population: int = GATE_POPULATION,
-    shards: int = GATE_SHARDS,
+    regions: int = GATE_REGIONS,
     seed: int = 0,
 ) -> dict:
-    """Sharded-kernel runtime gate: exact single-vs-sharded identity.
+    """Region-routing runtime gate: exact plain-vs-regions identity.
 
-    Runs the same population on the single-heap kernel and on the sharded
-    kernel (one gateway per shard) and asserts the timelines are identical
-    — the sharded merge contract, checked end to end on a real workload.
-    Returns a report with the events/sec-per-shard headline.
+    Runs the same population (one gateway per region) with and without
+    region assignment and asserts the timelines are identical: region
+    routing must return the full graph's paths, only faster.
     """
-    single = run_population(population, seed=seed, n_gateways=shards)
-    sharded = run_population(
-        population, seed=seed, n_gateways=shards, shards=shards
+    plain = run_population(population, seed=seed, n_gateways=regions)
+    regioned = run_population(
+        population, seed=seed, n_gateways=regions, regions=regions
     )
-    assert sharded.events_processed == single.events_processed, (
-        f"sharded kernel diverged: single {single.events_processed} events, "
-        f"sharded {sharded.events_processed} — the exact merge broke"
+    assert regioned.events_processed == plain.events_processed, (
+        f"region routing diverged: plain {plain.events_processed} events, "
+        f"regions {regioned.events_processed} — a region route differs"
     )
-    assert sharded.sim_time_s == single.sim_time_s, (
-        f"sharded kernel end time drifted: {single.sim_time_s} vs "
-        f"{sharded.sim_time_s}"
+    assert regioned.sim_time_s == plain.sim_time_s, (
+        f"region routing end time drifted: {plain.sim_time_s} vs "
+        f"{regioned.sim_time_s}"
     )
-    assert sharded.tasks_completed == single.tasks_completed == population
-    # Byte-level identity: the full telemetry JSONL export of a sharded
-    # scenario run must equal the single-heap export, byte for byte.
-    exports = []
-    for scenario_shards in (None, 2):
-        scenario = build_scenario(seed=3, shards=scenario_shards)
-        run_pdagent_batch(scenario, 3)
-        collector = TraceCollector()
-        collector.add_run("gate", scenario.network)
-        buf = io.StringIO()
-        collector.write_jsonl(buf)
-        exports.append(buf.getvalue())
-    assert exports[0], "trace export is empty — the byte-compare is vacuous"
-    assert exports[0] == exports[1], (
-        "sharded scenario trace is not byte-identical to the single-heap "
-        "trace"
-    )
+    assert regioned.tasks_completed == plain.tasks_completed == population
     return {
         "population": population,
-        "shards": shards,
-        "events_processed": sharded.events_processed,
-        "trace_bytes_compared": len(exports[0]),
-        "single_events_per_sec": single.events_per_sec,
-        "sharded_events_per_sec": sharded.events_per_sec,
-        "events_per_sec_per_shard": sharded.events_per_sec_per_shard,
+        "regions": regions,
+        "events_processed": regioned.events_processed,
+        "plain_events_per_sec": plain.events_per_sec,
+        "regions_events_per_sec": regioned.events_per_sec,
     }
 
 
-def check_sharded_baseline() -> dict:
-    """Static checks on the committed sharded rows of ``BENCH_scale.json``.
+def check_region_baseline(doc: dict | None = None) -> dict:
+    """Static checks on the region rows of ``BENCH_scale.json``.
 
-    * every row in ``REQUIRED_SHARDED_ROWS`` exists;
-    * the 5,000-device sharded row processed *exactly* as many events as
-      the 5,000-device single-heap row (collect-anywhere identity, recorded
-      at bench time on one machine);
-    * the sharded 5,000-device row is at least ``SHARDED_SPEEDUP_FLOOR``×
-      the single-heap row in aggregate events/sec.
+    * every row in ``REGION_POPULATIONS`` exists;
+    * the 5,000-device region row processed *exactly* as many events as
+      the 5,000-device plain row (same timeline, recorded at bench time);
+    * the region row is at least ``REGION_SPEEDUP_FLOOR``× the plain row
+      in events/sec.
+
+    ``doc`` defaults to the committed file; passing one lets a test show
+    the floor can fail.
     """
-    for population, shards in REQUIRED_SHARDED_ROWS:
-        load_baseline(population, shards=shards)  # raises if missing
-    single = load_baseline(5000, shards=0)
-    sharded = load_baseline(5000, shards=10)
-    assert sharded["events_processed"] == single["events_processed"], (
+    doc = doc or load_doc()
+    for population, regions in REGION_POPULATIONS:
+        load_baseline(population, regions, doc)  # raises if missing
+    plain = load_baseline(5000, 0, doc)
+    regioned = load_baseline(5000, 10, doc)
+    assert regioned["events_processed"] == plain["events_processed"], (
         "committed 5000-device rows disagree on events_processed: "
-        f"single {single['events_processed']}, sharded "
-        f"{sharded['events_processed']}"
+        f"plain {plain['events_processed']}, regions "
+        f"{regioned['events_processed']}"
     )
-    speedup = sharded["events_per_sec"] / single["events_per_sec"]
-    assert speedup >= SHARDED_SPEEDUP_FLOOR, (
-        f"committed sharded 5000-device row is only {speedup:.2f}x the "
-        f"single-heap row (floor {SHARDED_SPEEDUP_FLOOR}x)"
+    speedup = regioned["events_per_sec"] / plain["events_per_sec"]
+    assert speedup >= REGION_SPEEDUP_FLOOR, (
+        f"committed 5000@10 region row is only {speedup:.2f}x the plain "
+        f"row (floor {REGION_SPEEDUP_FLOOR}x)"
     )
     return {
         "speedup_5000": speedup,
         "rows": [
             {
                 "population": population,
-                "shards": shards,
-                "events_per_sec_per_shard": load_baseline(
-                    population, shards=shards
-                ).get("events_per_sec_per_shard", 0.0),
+                "regions": regions,
+                "events_per_sec": load_baseline(
+                    population, regions, doc
+                )["events_per_sec"],
             }
-            for population, shards in REQUIRED_SHARDED_ROWS
+            for population, regions in REGION_POPULATIONS
         ],
     }
 
@@ -228,28 +212,36 @@ def test_scale_population_benchmark(benchmark):
     assert result.tasks_completed == GATE_POPULATION
 
 
-def test_scale_sharded_identity_gate(emit):
-    report = run_sharded_gate()
+def test_scale_region_identity_gate(emit):
+    report = run_region_gate()
     emit(
-        f"sharded gate: {report['shards']} shards, "
+        f"region gate: {report['regions']} regions, "
         f"{report['events_processed']} events identical, "
-        f"{report['sharded_events_per_sec']:.0f} ev/s "
-        f"({report['events_per_sec_per_shard']:.0f} ev/s/shard) vs single "
-        f"{report['single_events_per_sec']:.0f} ev/s"
+        f"{report['regions_events_per_sec']:.0f} ev/s vs plain "
+        f"{report['plain_events_per_sec']:.0f} ev/s"
     )
 
 
-def test_scale_sharded_committed_baseline(emit):
-    report = check_sharded_baseline()
+def test_scale_region_committed_baseline(emit):
+    report = check_region_baseline()
     emit(
-        f"committed sharded rows OK: 5000-device speedup "
+        f"committed region rows OK: 5000-device speedup "
         f"{report['speedup_5000']:.2f}x, rows "
         + ", ".join(
-            f"{r['population']}@{r['shards']}sh="
-            f"{r['events_per_sec_per_shard']:.0f} ev/s/shard"
+            f"{r['population']}@{r['regions']}={r['events_per_sec']:.0f} ev/s"
             for r in report["rows"]
         )
     )
+
+
+def test_scale_region_floor_can_fail():
+    """The speedup floor is not vacuous: a baseline whose 5000@10 row is
+    only 1.5x the plain row must be rejected."""
+    doc = copy.deepcopy(load_doc())
+    plain = load_baseline(5000, 0, doc)
+    load_baseline(5000, 10, doc)["events_per_sec"] = 1.5 * plain["events_per_sec"]
+    with pytest.raises(AssertionError, match="floor"):
+        check_region_baseline(doc)
 
 
 # -- standalone CLI (CI) -------------------------------------------------------
@@ -257,8 +249,8 @@ def test_scale_sharded_committed_baseline(emit):
 if __name__ == "__main__":
     report = run_gate()
     print(json.dumps(report, indent=2, sort_keys=True))
-    sharded_report = run_sharded_gate()
-    print(json.dumps(sharded_report, indent=2, sort_keys=True))
-    baseline_report = check_sharded_baseline()
+    region_report = run_region_gate()
+    print(json.dumps(region_report, indent=2, sort_keys=True))
+    baseline_report = check_region_baseline()
     print(json.dumps(baseline_report, indent=2, sort_keys=True))
     print("scale gate: OK")

@@ -26,7 +26,7 @@ from ..mas import (
     ServiceAgent,
     wire_format_by_name,
 )
-from ..simnet import LinkSpec, Network, ShardedSimulator
+from ..simnet import LinkSpec, Network
 from .config import PDAgentConfig
 from .fleet import Fleet
 from .gateway import Gateway
@@ -84,21 +84,14 @@ class DeploymentBuilder:
         master_seed: int = 0,
         config: Optional[PDAgentConfig] = None,
         mas_flavour: str = "aglets",
-        shards: Optional[int] = None,
+        regions: Optional[int] = None,
     ) -> None:
         self.config = config or PDAgentConfig()
-        # shards=None (or <=1 with no explicit request) keeps the classic
-        # single-heap kernel; shards=K runs the same deployment on a
-        # ShardedSimulator with K per-region calendars.  The sharded merge
-        # is exact, so both kernels produce byte-identical runs.
-        self.shards = int(shards) if shards else 0
-        if self.shards:
-            self.network = Network(
-                sim=ShardedSimulator(n_shards=self.shards),
-                master_seed=master_seed,
-            )
-        else:
-            self.network = Network(master_seed=master_seed)
+        # regions=K homes gateways and devices in K gateway regions, which
+        # switches on region-scoped routing (same paths, O(region) Dijkstra
+        # instead of O(population)); None leaves every node unassigned.
+        self.regions = int(regions) if regions else 0
+        self.network = Network(master_seed=master_seed)
         self.registry = AgentClassRegistry()
         self.catalog = ServiceCatalog()
         self.directory = SubscriptionDirectory()
@@ -160,11 +153,11 @@ class DeploymentBuilder:
             config=self.config,
         )
         self._gateways[address] = gateway
-        if self.shards:
+        if self.regions:
             # Gateway g homes region g % K; its region subgraph carries all
-            # routing for the devices assigned to the same shard.
-            self.network.assign_shard(
-                address, (len(self._gateways) - 1) % self.shards
+            # routing for the devices assigned to the same region.
+            self.network.assign_region(
+                address, (len(self._gateways) - 1) % self.regions
             )
         if register:
             self._central.register_gateway(address)
@@ -197,24 +190,24 @@ class DeploymentBuilder:
         profile: str = "PDA",
         wireless: LinkSpec | str = "GPRS",
         attach_to: Optional[str] = None,
-        shard: Optional[int] = None,
+        region: Optional[int] = None,
     ) -> "DeploymentBuilder":
         """Create a device + platform; its wireless link lands on
         ``attach_to`` (default: the backbone, i.e. an access point that can
-        reach every gateway).  On a sharded deployment the device is homed
-        by ``shard`` (its home cell), defaulting to round-robin over the
-        shard count — assignment is a locality hint only."""
+        reach every gateway).  On a deployment with regions the device is
+        homed in ``region`` (its home cell), defaulting to round-robin over
+        the region count."""
         if self._central_address is None:
             raise ValueError("add_central() must come before add_device()")
         device = Device(self.network, address, profile=profile)
         device.attach_wireless(
             attach_to or self._backbone, self._resolve_link(wireless)
         )
-        if self.shards:
+        if self.regions:
             home = (
-                len(self._devices) % self.shards if shard is None else shard
+                len(self._devices) % self.regions if region is None else region
             )
-            self.network.assign_shard(address, home % self.shards)
+            self.network.assign_region(address, home % self.regions)
         self._devices[address] = device
         self._platforms[address] = PDAgentPlatform(
             device, self._central_address, config=self.config
@@ -237,11 +230,6 @@ class DeploymentBuilder:
             raise ValueError("deployment needs a central server")
         if not self._gateways:
             raise ValueError("deployment needs at least one gateway")
-        if self.shards:
-            # Conservative lookahead = min base link latency: windows the
-            # cross-shard exchange (pure batching knob; exactness is the
-            # merge's job, so jitter undercutting the bound is harmless).
-            self.network.sim.lookahead = self.network.conservative_lookahead()
         fleet = None
         if self.config.fleet_enabled:
             fleet = Fleet(

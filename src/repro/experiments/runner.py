@@ -12,7 +12,7 @@ Usage (installed as ``pdagent-experiments``)::
     pdagent-experiments churn        # rolling restart of every fleet member
     pdagent-experiments diversity    # diurnal + flash-crowd day, full app mix
     pdagent-experiments scale        # device-population kernel sweep
-                                     #   (--shards N for the sharded kernel;
+                                     #   (--regions N for region routing;
                                      #   not part of "all" — it is the perf
                                      #   bench, see BENCH_scale.json)
     pdagent-experiments claims       # C1 code sizes, C2 footprint
@@ -145,27 +145,22 @@ def _run_churn(args, collector=None):
 
 def _run_scale(args, collector=None):
     """Device-population sweep; --max-n caps the largest population and
-    --shards runs every row on the sharded kernel."""
+    --regions homes every row's gateways and devices in N regions."""
     populations = scale.DEFAULT_POPULATIONS
     if args.max_n:
         populations = tuple(n for n in populations if n <= args.max_n) or (
             args.max_n,
         )
     result = scale.run_scale_sweep(
-        populations,
-        seed=args.seed,
-        shards=getattr(args, "shards", 0) or 0,
-        executor=getattr(args, "executor", "inline"),
+        populations, seed=args.seed, regions=args.regions
     )
     print(result.render())
     if args.csv:
         path = os.path.join(args.csv, "scale.csv")
-        rows = ["population,gateways,shards,mode,events_processed,"
-                "events_per_sec,events_per_sec_per_shard"]
+        rows = ["population,gateways,regions,events_processed,events_per_sec"]
         rows += [
-            f"{r.population},{r.gateways},{r.shards},{r.mode},"
-            f"{r.events_processed},{r.events_per_sec:.1f},"
-            f"{r.events_per_sec_per_shard:.1f}"
+            f"{r.population},{r.gateways},{r.regions},"
+            f"{r.events_processed},{r.events_per_sec:.1f}"
             for r in result.populations
         ]
         with open(path, "w") as fh:
@@ -258,17 +253,10 @@ def main(argv: list[str] | None = None) -> int:
         help="cap the transaction sweep at N (smaller, faster runs)",
     )
     parser.add_argument(
-        "--shards",
+        "--regions",
         type=int,
         default=0,
-        help="scale: run the sweep on a sharded kernel with N shards",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("inline", "serial", "process"),
-        default="inline",
-        help="scale: sharded executor (inline exact merge, or "
-        "region-partitioned serial/multiprocessing sub-simulations)",
+        help="scale: home gateways and devices in N regions (region routing)",
     )
     args = parser.parse_args(argv)
     if args.csv:

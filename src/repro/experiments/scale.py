@@ -12,20 +12,20 @@ fleet) reporting
 * **peak RSS** — memory high-water mark,
 
 so performance regressions in any hot path (kernel, transport, codec,
-crypto, telemetry) show up as a number, not an anecdote.  Results are
-written as ``BENCH_scale.json`` — the bench trajectory's perf baseline,
-which CI compares against (see ``benchmarks/bench_scale.py``).
+crypto, telemetry, routing) show up as a number, not an anecdote.  Results
+are written as ``BENCH_scale.json`` — the bench trajectory's perf
+baseline, which CI compares against (see ``benchmarks/bench_scale.py``).
 
 Determinism: the sweep is seeded like every other experiment; for a fixed
 (seed, population) the simulated timeline — ``events_processed``, task
-completions, every connection record — is bit-reproducible.  Only the
-wall-clock/RSS measurements vary run to run.
+completions, every connection record — is bit-reproducible, with or
+without gateway regions.  Only the wall-clock/RSS measurements vary run to
+run.
 """
 
 from __future__ import annotations
 
 import argparse
-import heapq
 import json
 import sys
 import time
@@ -40,7 +40,6 @@ from ..apps.ebanking import (
 )
 from ..core import DeploymentBuilder, PDAgentConfig
 from ..mas import Stop
-from ..simnet.shard import run_sharded
 
 __all__ = [
     "PopulationResult",
@@ -48,14 +47,14 @@ __all__ = [
     "run_population",
     "run_scale_sweep",
     "DEFAULT_POPULATIONS",
-    "SHARDED_POPULATIONS",
+    "REGION_POPULATIONS",
 ]
 
 DEFAULT_POPULATIONS = (100, 1000, 5000)
-#: The sharded axis of the sweep: (population, shard count).  Shard counts
-#: track the gateway fleet (one shard per gateway region), giving near-
-#: constant devices-per-shard as the population grows.
-SHARDED_POPULATIONS = ((5000, 10), (20000, 40), (50000, 100))
+#: The region axis of the sweep: (population, region count).  Region counts
+#: track the gateway fleet (one region per gateway), giving constant
+#: devices-per-region as the population grows.
+REGION_POPULATIONS = ((5000, 10), (20000, 40))
 #: One gateway per this many devices (minimum 2 — it is a *fleet*).
 DEVICES_PER_GATEWAY = 500
 #: Simulated seconds between consecutive device task starts.  Small enough
@@ -65,10 +64,12 @@ ARRIVAL_SPACING_S = 0.05
 
 @dataclass
 class PopulationResult:
-    """Measurements for one (population, kernel configuration) point."""
+    """Measurements for one (population, region count) point."""
 
     population: int
     gateways: int
+    #: Gateway regions assigned (0 = none; routing runs on the full graph).
+    regions: int
     tasks_completed: int
     events_processed: int
     sim_time_s: float
@@ -77,31 +78,14 @@ class PopulationResult:
     events_per_sec: float
     wall_per_task_s: float
     peak_rss_mb: float
-    #: 0 = classic single-heap kernel; K = K kernel shards.
-    shards: int = 0
-    #: "single" | "sharded" (exact in-process merge) | "sharded-mp"
-    #: (region-partitioned multiprocessing executor).
-    mode: str = "single"
-    #: The headline scaling metric: aggregate events/sec divided by the
-    #: shard count (1 for the single-heap kernel).
-    events_per_sec_per_shard: float = 0.0
-    #: Events routed through the cross-shard exchange (0 when single).
-    cross_shard_events: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.events_per_sec_per_shard:
-            self.events_per_sec_per_shard = self.events_per_sec / max(
-                self.shards, 1
-            )
 
     def render(self) -> str:
-        kernel = f"{self.shards} shards" if self.shards else "single"
+        regions = f"{self.regions} regions" if self.regions else "plain"
         return (
             f"{self.population:>6} devices  {self.gateways:>3} gw  "
-            f"{kernel:>10}  "
+            f"{regions:>11}  "
             f"{self.events_processed:>9} events  "
             f"{self.events_per_sec:>9.0f} ev/s  "
-            f"{self.events_per_sec_per_shard:>8.0f} ev/s/shard  "
             f"{self.wall_per_task_s * 1e3:>8.2f} ms/task  "
             f"{self.peak_rss_mb:>7.1f} MB RSS"
         )
@@ -149,19 +133,13 @@ def _peak_rss_mb() -> float:
     return _maxrss_bytes() / (1024.0 * 1024.0)
 
 
-def _device_shard(i: int, n_gateways: int, shards: int) -> int:
-    """Home cell policy: a device shares its assigned gateway's shard."""
-    return (i % n_gateways) % shards
-
-
 def run_population(
     n_devices: int,
     seed: int = 0,
     n_gateways: Optional[int] = None,
     config: Optional[PDAgentConfig] = None,
     transactions_per_task: int = 1,
-    shards: int = 0,
-    executor: str = "inline",
+    regions: int = 0,
 ) -> PopulationResult:
     """Build and run one population; returns its measurements.
 
@@ -170,28 +148,15 @@ def run_population(
     nearest-RTT policy is exercised by the selection benches), waits for
     completion, and downloads the result.
 
-    ``shards`` > 0 runs the same workload on the sharded kernel (devices
-    homed with their gateway's region).  ``executor`` selects how shards
-    execute: ``"inline"`` — one :class:`~repro.simnet.ShardedSimulator`
-    with an exact merge (byte-identical timeline to the single-heap run);
-    ``"serial"`` / ``"process"`` — region-partitioned sub-simulations run
-    in-process or on a ``multiprocessing`` pool, with per-region ordered
-    result batches merged deterministically.
+    ``regions`` > 0 homes gateway *g* in region ``g % regions`` and each
+    device in its gateway's region, which switches on region-scoped
+    routing.  The routes, and so the whole timeline, are the same as the
+    plain run's; only the cost of computing them drops.
     """
     if n_gateways is None:
         n_gateways = max(2, n_devices // DEVICES_PER_GATEWAY)
-    if shards and executor in ("serial", "process"):
-        return _run_population_regions(
-            n_devices, seed, n_gateways, config, transactions_per_task,
-            shards, executor,
-        )
-    if executor != "inline":
-        raise ValueError(f"unknown executor {executor!r}")
-    sharded = shards > 0
     t_build = time.perf_counter()
-    builder = DeploymentBuilder(
-        master_seed=seed, config=config, shards=shards if sharded else None
-    )
+    builder = DeploymentBuilder(master_seed=seed, config=config, regions=regions)
     builder.add_central("central")
     for g in range(n_gateways):
         builder.add_gateway(f"gw-{g}")
@@ -199,10 +164,11 @@ def run_population(
     builder.register_agent_class(EBankingAgent)
     builder.publish(ebanking_service_code())
     for i in range(n_devices):
+        # Home cell policy: a device shares its assigned gateway's region.
         builder.add_device(
             f"dev-{i}",
             wireless="WLAN",
-            shard=_device_shard(i, n_gateways, shards) if sharded else None,
+            region=(i % n_gateways) % regions if regions else None,
         )
     deployment = builder.build()
     build_wall = time.perf_counter() - t_build
@@ -226,14 +192,7 @@ def run_population(
         completed += 1
 
     for i in range(n_devices):
-        name = f"scale-task-{i}"
-        if sharded:
-            sim.process(
-                one_task(i), name=name,
-                shard=_device_shard(i, n_gateways, shards),
-            )
-        else:
-            sim.process(one_task(i), name=name)
+        sim.process(one_task(i), name=f"scale-task-{i}")
 
     t_run = time.perf_counter()
     sim.run()
@@ -246,134 +205,13 @@ def run_population(
     return PopulationResult(
         population=n_devices,
         gateways=n_gateways,
-        shards=shards,
-        mode="sharded" if sharded else "single",
+        regions=regions,
         tasks_completed=completed,
         events_processed=sim.events_processed,
         sim_time_s=sim.now,
         build_wall_s=build_wall,
         run_wall_s=run_wall,
         events_per_sec=sim.events_processed / run_wall if run_wall > 0 else 0.0,
-        wall_per_task_s=run_wall / completed,
-        peak_rss_mb=_peak_rss_mb(),
-        cross_shard_events=getattr(sim, "cross_shard_exchanged", 0),
-    )
-
-
-def _run_region(
-    region: int,
-    shards: int,
-    n_devices: int,
-    n_gateways: int,
-    seed: int,
-    config: Optional[PDAgentConfig],
-    transactions_per_task: int,
-) -> dict[str, Any]:
-    """One gateway region as an independent sub-simulation (pool worker).
-
-    The region gets its own central/bank replicas (the shared-nothing
-    deployment model) plus the gateways and devices homed in it, keeping
-    global node names and the *global* arrival stagger so the returned
-    completion batch ``[(sim_time, device_index), ...]`` is already in
-    global timeline order.  The worker is a pure function of its arguments
-    — identical output whichever executor runs it.
-    """
-    builder = DeploymentBuilder(master_seed=seed, config=config)
-    builder.add_central("central")
-    gateways = [g for g in range(n_gateways) if g % shards == region]
-    for g in gateways:
-        builder.add_gateway(f"gw-{g}")
-    builder.add_site("bank-a", services=[BankServiceAgent(bank_name="bank-a")])
-    builder.register_agent_class(EBankingAgent)
-    builder.publish(ebanking_service_code())
-    devices = [
-        i for i in range(n_devices)
-        if _device_shard(i, n_gateways, shards) == region
-    ]
-    for i in devices:
-        builder.add_device(f"dev-{i}", wireless="WLAN")
-    deployment = builder.build()
-    sim = deployment.sim
-    txns = make_transactions(["bank-a"], transactions_per_task)
-    stops = [Stop("bank-a", task="banking")]
-    completions: list[tuple[float, int]] = []
-
-    def one_task(i: int) -> Generator:
-        platform = deployment.platform(f"dev-{i}")
-        gateway = f"gw-{i % n_gateways}"
-        yield sim.timeout(i * ARRIVAL_SPACING_S)
-        yield from platform.subscribe("ebanking", gateway=gateway)
-        handle = yield from platform.deploy(
-            "ebanking", {"transactions": txns}, stops=stops, gateway=gateway
-        )
-        yield deployment.gateway(handle.gateway).ticket(handle.ticket).completed
-        yield from platform.collect(handle)
-        completions.append((sim.now, i))
-
-    for i in devices:
-        sim.process(one_task(i), name=f"scale-task-{i}")
-    sim.run()
-    if len(completions) != len(devices):
-        raise RuntimeError(
-            f"region {region}: only {len(completions)}/{len(devices)} "
-            "tasks completed"
-        )
-    return {
-        "region": region,
-        "events": sim.events_processed,
-        "sim_time": sim.now,
-        "completions": sorted(completions),
-    }
-
-
-def _run_population_regions(
-    n_devices: int,
-    seed: int,
-    n_gateways: int,
-    config: Optional[PDAgentConfig],
-    transactions_per_task: int,
-    shards: int,
-    executor: str,
-) -> PopulationResult:
-    """Region-partitioned executor: K independent sub-simulations whose
-    ordered completion batches are merged deterministically.
-
-    Unlike the inline sharded kernel this is *not* timeline-identical to
-    the single-heap run (each region replicates the shared infrastructure),
-    but it is executor-invariant: the serial and process executors produce
-    identical merged batches, events, and sim times for the same arguments.
-    """
-    t_run = time.perf_counter()
-    calls = [
-        (
-            _run_region,
-            (region, shards, n_devices, n_gateways, seed, config,
-             transactions_per_task),
-        )
-        for region in range(shards)
-    ]
-    batches = run_sharded(
-        calls, processes=shards if executor == "process" else 0
-    )
-    run_wall = time.perf_counter() - t_run
-    merged = list(heapq.merge(*(batch["completions"] for batch in batches)))
-    completed = len(merged)
-    if completed != n_devices:
-        raise RuntimeError(
-            f"population {n_devices}: only {completed} tasks completed"
-        )
-    events = sum(batch["events"] for batch in batches)
-    return PopulationResult(
-        population=n_devices,
-        gateways=n_gateways,
-        shards=shards,
-        mode="sharded-mp" if executor == "process" else "sharded-serial",
-        tasks_completed=completed,
-        events_processed=events,
-        sim_time_s=max(batch["sim_time"] for batch in batches),
-        build_wall_s=0.0,
-        run_wall_s=run_wall,
-        events_per_sec=events / run_wall if run_wall > 0 else 0.0,
         wall_per_task_s=run_wall / completed,
         peak_rss_mb=_peak_rss_mb(),
     )
@@ -383,29 +221,22 @@ def run_scale_sweep(
     populations: tuple[int, ...] = DEFAULT_POPULATIONS,
     seed: int = 0,
     config: Optional[PDAgentConfig] = None,
-    shards: int = 0,
-    executor: str = "inline",
-    sharded_populations: tuple[tuple[int, int], ...] = (),
+    regions: int = 0,
+    region_populations: tuple[tuple[int, int], ...] = (),
 ) -> ScaleSweepResult:
     """Run the device-population sweep at each size in ``populations``.
 
-    With ``shards`` set, every population runs sharded at that count.
-    ``sharded_populations`` appends explicit (population, shards) rows —
-    the 20k/50k axis of ``BENCH_scale.json``.
+    With ``regions`` set, every population runs with that many gateway
+    regions.  ``region_populations`` appends explicit (population, regions)
+    rows — the region axis of ``BENCH_scale.json``.
     """
     result = ScaleSweepResult(seed=seed)
-    for population in populations:
+    rows = [(population, regions) for population in populations]
+    rows += list(region_populations)
+    for population, n_regions in rows:
         result.populations.append(
             run_population(
-                population, seed=seed, config=config, shards=shards,
-                executor=executor,
-            )
-        )
-    for population, n_shards in sharded_populations:
-        result.populations.append(
-            run_population(
-                population, seed=seed, config=config, shards=n_shards,
-                executor=executor,
+                population, seed=seed, config=config, regions=n_regions
             )
         )
     return result
@@ -422,23 +253,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--shards",
+        "--regions",
         type=int,
         default=0,
-        help="run every population on a sharded kernel with N shards",
+        help="run every population with N gateway regions (region routing)",
     )
     parser.add_argument(
-        "--executor",
-        choices=("inline", "serial", "process"),
-        default="inline",
-        help="sharded executor: inline exact merge, or region-partitioned "
-        "serial/multiprocessing sub-simulations",
-    )
-    parser.add_argument(
-        "--sharded-axis",
+        "--region-axis",
         action="store_true",
-        help="append the large sharded rows "
-        + ", ".join(f"{n}@{k}sh" for n, k in SHARDED_POPULATIONS),
+        help="append the large region rows "
+        + ", ".join(f"{n}@{k}" for n, k in REGION_POPULATIONS),
     )
     parser.add_argument(
         "--out",
@@ -449,9 +273,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     result = run_scale_sweep(
         tuple(args.populations),
         seed=args.seed,
-        shards=args.shards,
-        executor=args.executor,
-        sharded_populations=SHARDED_POPULATIONS if args.sharded_axis else (),
+        regions=args.regions,
+        region_populations=REGION_POPULATIONS if args.region_axis else (),
     )
     print(result.render())
     if args.out:

@@ -124,20 +124,15 @@ def build_scenario(
     mas_flavour: str = "aglets",
     device_profile: str = "PDA",
     prewarm: bool = True,
-    shards: Optional[int] = None,
 ) -> EvaluationScenario:
     """Construct and (optionally) pre-warm the §4 evaluation environment.
 
     Pre-warming performs the one-time online steps — gateway-list download,
     RTT probing, and the e-banking subscription — so the measured runs
     contain only the steady-state traffic the paper measures.
-
-    ``shards`` runs the scenario on the sharded kernel; the timeline (and
-    every exported trace byte) is identical to the single-heap run.
     """
     builder = DeploymentBuilder(
-        master_seed=seed, config=config, mas_flavour=mas_flavour,
-        shards=shards,
+        master_seed=seed, config=config, mas_flavour=mas_flavour
     )
     builder.add_central("central")
     for i in range(n_gateways):

@@ -36,7 +36,6 @@ from .primitives import (
 )
 from .resources import Mailbox, Resource, Store
 from .rng import Stream, StreamFactory
-from .shard import ShardedSimulator
 from .topology import Datagram, Network, NoRouteError
 from .trace import ConnectionRecord, FaultRecord, Tracer
 from .transport import (
@@ -59,7 +58,6 @@ from .http import (
 
 __all__ = [
     "Simulator",
-    "ShardedSimulator",
     "Event",
     "Timeout",
     "Process",

@@ -127,16 +127,16 @@ class Simulator:
         self._event_count += 1
         event._process()
 
-    def _run_preamble(
-        self, until: float | Event | None
-    ) -> tuple[Optional[Event], "Optional[_StopSentinel]", float]:
-        """Shared ``run()`` argument handling for all simulator flavours.
+    def run(self, until: float | Event | None = None) -> Any:
+        """Run until the calendar drains, a deadline, or an event fires.
 
-        Returns ``(stop_event, sentinel, deadline)``.  ``sentinel`` is None
-        when no event-halt is needed (no *until* event, or it is already
-        processed — in which case the caller must skip the loop and go
-        straight to :meth:`_run_epilogue`, which returns its value or
-        re-raises its failure).
+        Parameters
+        ----------
+        until:
+            ``None`` — run to exhaustion.  A number — run until the clock
+            reaches it (the clock is advanced to the deadline even if the
+            calendar drains earlier).  An :class:`Event` — run until it is
+            processed and return its value (raising if it failed).
         """
         stop_event: Optional[Event] = None
         sentinel: Optional[_StopSentinel] = None
@@ -152,37 +152,9 @@ class Simulator:
                 raise ValueError(
                     f"until={deadline} is in the past (now={self._now})"
                 )
-        return stop_event, sentinel, deadline
-
-    def _run_epilogue(self, stop_event: Optional[Event], deadline: float) -> Any:
-        """Shared ``run()`` result handling: return the stop event's value
-        (raising its exception when it failed — the already-processed and
-        in-loop paths deliberately behave identically) or advance the clock
-        to an explicit deadline."""
-        if stop_event is not None:
-            if not stop_event.triggered:
-                raise RuntimeError(
-                    "run(until=event) ended but the event never triggered"
-                )
-            if not stop_event.ok:
-                raise stop_event._value
-            return stop_event.value
-        if deadline != float("inf"):
-            self._now = max(self._now, deadline)
-        return None
-
-    def run(self, until: float | Event | None = None) -> Any:
-        """Run until the calendar drains, a deadline, or an event fires.
-
-        Parameters
-        ----------
-        until:
-            ``None`` — run to exhaustion.  A number — run until the clock
-            reaches it (the clock is advanced to the deadline even if the
-            calendar drains earlier).  An :class:`Event` — run until it is
-            processed and return its value (raising if it failed).
-        """
-        stop_event, sentinel, deadline = self._run_preamble(until)
+        # An already-processed stop event skips the loop; it still goes
+        # through the result handling below, which returns its value or
+        # re-raises its failure exactly as the in-loop path would.
         if stop_event is None or sentinel is not None:
             # Inlined step() loop: one heap pop + callback dispatch per
             # event, with the queue and pop pre-bound.  Identical semantics
@@ -203,7 +175,17 @@ class Simulator:
                         break
             except StopSimulation:
                 pass
-        return self._run_epilogue(stop_event, deadline)
+        if stop_event is not None:
+            if not stop_event.triggered:
+                raise RuntimeError(
+                    "run(until=event) ended but the event never triggered"
+                )
+            if not stop_event.ok:
+                raise stop_event._value
+            return stop_event.value
+        if deadline != float("inf"):
+            self._now = max(self._now, deadline)
+        return None
 
 
 class _StopSentinel:

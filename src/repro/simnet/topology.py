@@ -20,7 +20,6 @@ import networkx as nx
 from .kernel import Simulator
 from .link import Link, LinkSpec
 from .node import Node
-from .primitives import Event, EventState
 from .rng import StreamFactory
 from .trace import Tracer
 from repro.telemetry.spans import Telemetry
@@ -74,10 +73,10 @@ class Network:
         # bandwidth); invalidated together with _routes on topology change.
         self._route_links: dict[tuple[str, str], list[Link]] = {}
         self._bottlenecks: dict[tuple[str, str], float] = {}
-        # Shard (gateway-region) assignment: address -> shard index.
-        # Unassigned nodes (backbone, central, bank sites) are *infrastructure*
-        # and appear in every region's routing subgraph.
-        self._shards: dict[str, int] = {}
+        # Gateway-region assignment: address -> region index.  Unassigned
+        # nodes (backbone, central, bank sites) are *infrastructure* and
+        # appear in every region's routing subgraph.
+        self._regions: dict[str, int] = {}
         self._region_graphs: Optional[dict[int, nx.DiGraph]] = None
 
     def _invalidate_routes(self) -> None:
@@ -184,36 +183,24 @@ class Network:
             self._graph.remove_edge(src, dst)
         self._invalidate_routes()
 
-    # -- shard (region) assignment -------------------------------------------
-    def assign_shard(self, address: str, shard: int) -> None:
-        """Home ``address`` in gateway region ``shard``.
+    # -- region assignment ----------------------------------------------------
+    def assign_region(self, address: str, region: int) -> None:
+        """Home ``address`` in gateway region ``region``.
 
-        Shard assignment is a locality hint for the sharded kernel and for
-        region-scoped routing; it never changes delivery semantics (the
-        sharded kernel's merge is exact regardless of assignment).
+        Assignments switch on region-scoped routing (see
+        :meth:`_region_route`), which returns the same paths as the full
+        graph; they never change delivery semantics.
         """
         if address not in self._nodes:
             raise KeyError(f"unknown node {address!r}")
-        if shard < 0:
-            raise ValueError(f"shard index must be >= 0, got {shard!r}")
-        self._shards[address] = int(shard)
+        if region < 0:
+            raise ValueError(f"region index must be >= 0, got {region!r}")
+        self._regions[address] = int(region)
         self._invalidate_routes()
 
-    def shard_of(self, address: str) -> Optional[int]:
-        """Home shard of a node, or None for unassigned infrastructure."""
-        return self._shards.get(address)
-
-    def conservative_lookahead(self) -> float:
-        """Minimum base link latency — the conservative lookahead bound.
-
-        Any cross-shard delivery traverses at least one link, so no event
-        posted now can *nominally* land in another region sooner than this.
-        The sharded kernel uses it only to window the exchange; exactness
-        never depends on it (jitter models may undercut the base latency).
-        """
-        if not self._links:
-            return 0.0
-        return min(link.spec.latency for link in self._links.values())
+    def region_of(self, address: str) -> Optional[int]:
+        """Home region of a node, or None for unassigned infrastructure."""
+        return self._regions.get(address)
 
     def _build_region_graphs(self) -> dict[int, nx.DiGraph]:
         """Materialise one routing subgraph per region in a single edge pass.
@@ -226,17 +213,17 @@ class Network:
         spoke deployments the backbone's full-graph degree grows with the
         population and made routing the dominant superlinear cost.
         """
+        assigned = self._regions
         regions = {
-            shard: nx.DiGraph() for shard in sorted(set(self._shards.values()))
+            region: nx.DiGraph() for region in sorted(set(assigned.values()))
         }
-        shards = self._shards
         for src, dst, data in self._graph.edges(data=True):
-            s_src = shards.get(src)
-            s_dst = shards.get(dst)
-            if s_src is None and s_dst is None:
+            r_src = assigned.get(src)
+            r_dst = assigned.get(dst)
+            if r_src is None and r_dst is None:
                 targets = regions.values()
-            elif s_src is None or s_dst is None or s_src == s_dst:
-                region = regions.get(s_src if s_src is not None else s_dst)
+            elif r_src is None or r_dst is None or r_src == r_dst:
+                region = regions.get(r_src if r_src is not None else r_dst)
                 targets = (region,) if region is not None else ()
             else:  # cross-region edge: full-graph routing only
                 targets = ()
@@ -253,16 +240,16 @@ class Network:
         so the result matches the full-graph path; any pair the subgraph
         cannot serve falls back rather than erroring.
         """
-        shards = self._shards
-        if not shards:
+        assigned = self._regions
+        if not assigned:
             return None
-        s_src = shards.get(src)
-        s_dst = shards.get(dst)
-        if s_src is None and s_dst is None:
+        r_src = assigned.get(src)
+        r_dst = assigned.get(dst)
+        if r_src is None and r_dst is None:
             return None
-        if s_src is not None and s_dst is not None and s_src != s_dst:
+        if r_src is not None and r_dst is not None and r_src != r_dst:
             return None
-        region = s_src if s_src is not None else s_dst
+        region = r_src if r_src is not None else r_dst
         if self._region_graphs is None:
             self._region_graphs = self._build_region_graphs()
         graph = self._region_graphs.get(region)
@@ -362,32 +349,9 @@ class Network:
         dgram = Datagram(src, dst, payload, size, self.sim.now)
         self.sim.process(self._deliver(dgram), name=f"dgram:{src}->{dst}")
 
-    def _delivery_timeout(self, src: str, dst: str, delay: float) -> Event:
-        """Event firing after ``delay``, homed at the *destination's* shard.
-
-        On the single-heap kernel this is a plain timeout.  On a sharded
-        kernel, deliveries whose destination lives in another region go
-        through the cross-shard exchange so the wake-up lands on the
-        destination's calendar; the exchange consumes exactly one sequence
-        number, like the timeout it replaces, keeping the merged event order
-        byte-identical with the single-heap run.
-        """
-        sim = self.sim
-        post = getattr(sim, "post_cross_shard", None)
-        if post is not None:
-            dst_shard = self._shards.get(dst)
-            if dst_shard is not None and dst_shard != sim.active_shard:
-                event = Event(sim)
-                event._ok = True
-                event._value = None
-                event._state = EventState.TRIGGERED
-                post(event, delay, dst_shard)
-                return event
-        return sim.timeout(delay)
-
     def _deliver(self, dgram: Datagram) -> Generator:
         delay, _ = self.sample_path_delay(dgram.src, dgram.dst, dgram.size)
-        yield self._delivery_timeout(dgram.src, dgram.dst, delay)
+        yield self.sim.timeout(delay)
         self.node(dgram.dst).datagrams.put(dgram)
         self.tracer.count("datagrams_delivered")
 

@@ -166,9 +166,7 @@ class Connection:
             # instead of hanging forever.
             self.close(closer=src)
             raise ConnectionClosed(f"route lost during transfer: {exc}") from exc
-        # Homed at the receiver's shard on a sharded kernel (cross-shard
-        # exchange); a plain timeout on the single-heap kernel.
-        yield self.network._delivery_timeout(src, dst, delay)
+        yield sim.timeout(delay)
         if not self._open:
             raise ConnectionClosed("connection closed during transfer")
         message = Message(payload=payload, size=size, sent_at=sim.now)

@@ -192,14 +192,9 @@ def _config_for(spec: ScenarioSpec) -> PDAgentConfig:
     )
 
 
-def build_deployment(spec: ScenarioSpec, shards: int | None = None) -> Deployment:
-    """Wire the scenario's world: infrastructure, apps, access points.
-
-    ``shards`` runs the scenario on the sharded kernel; the exported
-    report is byte-identical to the single-heap run (the merge is exact)."""
-    builder = DeploymentBuilder(
-        master_seed=spec.seed, config=_config_for(spec), shards=shards
-    )
+def build_deployment(spec: ScenarioSpec) -> Deployment:
+    """Wire the scenario's world: infrastructure, apps, access points."""
+    builder = DeploymentBuilder(master_seed=spec.seed, config=_config_for(spec))
     builder.add_central("central")
     for gw in spec.gateways:
         builder.add_gateway(gw)
@@ -691,9 +686,9 @@ class _Harness:
 
 
 # ---------------------------------------------------------------- running
-def run_spec(spec: ScenarioSpec, shards: int | None = None) -> RunReport:
+def run_spec(spec: ScenarioSpec) -> RunReport:
     """Build, drive, check, and export one scenario.  Deterministic."""
-    deployment = build_deployment(spec, shards=shards)
+    deployment = build_deployment(spec)
     harness = _Harness(spec, deployment)
     harness.launch()
     sim = deployment.sim

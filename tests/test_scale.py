@@ -53,40 +53,23 @@ class TestGoldenSeedDeterminism:
         assert event_counts[0] == event_counts[1]
 
 
-class TestShardedScaleIdentity:
-    def test_sharded_run_identical_timeline(self):
-        """The sharded kernel replays the single-heap timeline exactly —
-        same event count, same end time, same completions."""
-        single = run_population(POP, seed=0, n_gateways=4)
-        sharded = run_population(POP, seed=0, n_gateways=4, shards=4)
-        assert sharded.mode == "sharded"
-        assert sharded.shards == 4
-        assert sharded.events_processed == single.events_processed
-        assert sharded.sim_time_s == single.sim_time_s
-        assert sharded.tasks_completed == single.tasks_completed == POP
-        assert sharded.events_per_sec_per_shard > 0
+class TestRegionScaleIdentity:
+    def test_regions_run_identical_timeline(self):
+        """Region routing returns the full graph's paths, so a run with
+        gateway regions replays the plain timeline exactly — same event
+        count, same end time, same completions."""
+        plain = run_population(POP, seed=0, n_gateways=4)
+        regioned = run_population(POP, seed=0, n_gateways=4, regions=4)
+        assert (plain.regions, regioned.regions) == (0, 4)
+        assert regioned.events_processed == plain.events_processed
+        assert regioned.sim_time_s == plain.sim_time_s
+        assert regioned.tasks_completed == plain.tasks_completed == POP
 
-    def test_one_shard_identical_timeline(self):
-        single = run_population(POP, seed=2)
-        sharded = run_population(POP, seed=2, shards=1)
-        assert sharded.events_processed == single.events_processed
-        assert sharded.sim_time_s == single.sim_time_s
-
-    def test_region_executors_serial_vs_process_identical(self):
-        """The region-partitioned executor is executor-invariant: the
-        serial and multiprocessing pools produce identical merged results
-        (the deterministic-merge contract for worker batches)."""
-        serial = run_population(
-            POP, seed=0, n_gateways=4, shards=2, executor="serial"
-        )
-        pooled = run_population(
-            POP, seed=0, n_gateways=4, shards=2, executor="process"
-        )
-        assert serial.mode == "sharded-serial"
-        assert pooled.mode == "sharded-mp"
-        assert serial.events_processed == pooled.events_processed
-        assert serial.sim_time_s == pooled.sim_time_s
-        assert serial.tasks_completed == pooled.tasks_completed == POP
+    def test_one_region_identical_timeline(self):
+        plain = run_population(POP, seed=2)
+        regioned = run_population(POP, seed=2, regions=1)
+        assert regioned.events_processed == plain.events_processed
+        assert regioned.sim_time_s == plain.sim_time_s
 
 
 class TestScaleHarness:

@@ -212,16 +212,12 @@ class TestDatagramsAndPing:
         assert link.transfers == 1
 
 
-class TestShardAssignment:
-    """Region (shard) assignment, region-scoped routing, and cross-shard
-    delivery homing."""
+class TestRegionAssignment:
+    """Gateway-region assignment and region-scoped routing."""
 
-    def _star(self, shards=None):
+    def _star(self):
         """Hub-and-spoke: backbone + 2 gateways + 4 devices + 1 site."""
-        from repro.simnet import ShardedSimulator
-
-        sim = ShardedSimulator(n_shards=shards) if shards else None
-        net = Network(sim=sim, master_seed=0)
+        net = Network(master_seed=0)
         net.add_node("backbone", kind="router")
         net.add_node("bank", kind="site")
         net.add_duplex_link("bank", "backbone", spec(latency=0.05))
@@ -233,22 +229,22 @@ class TestShardAssignment:
             net.add_duplex_link(f"dev-{i}", "backbone", spec(latency=0.1))
         return net
 
-    def _assign(self, net, shards=2):
+    def _assign(self, net, regions=2):
         for g in range(2):
-            net.assign_shard(f"gw-{g}", g % shards)
+            net.assign_region(f"gw-{g}", g % regions)
         for i in range(4):
-            net.assign_shard(f"dev-{i}", i % shards)
+            net.assign_region(f"dev-{i}", i % regions)
 
     def test_assignment_validation(self):
         net = self._star()
         with pytest.raises(KeyError):
-            net.assign_shard("nope", 0)
+            net.assign_region("nope", 0)
         with pytest.raises(ValueError):
-            net.assign_shard("dev-0", -1)
-        assert net.shard_of("dev-0") is None
-        net.assign_shard("dev-0", 3)
-        assert net.shard_of("dev-0") == 3
-        assert net.shard_of("backbone") is None  # infrastructure
+            net.assign_region("dev-0", -1)
+        assert net.region_of("dev-0") is None
+        net.assign_region("dev-0", 3)
+        assert net.region_of("dev-0") == 3
+        assert net.region_of("backbone") is None  # infrastructure
 
     def test_region_routes_match_full_graph(self):
         """Region-scoped routing returns the same paths the full graph
@@ -274,37 +270,21 @@ class TestShardAssignment:
         self._assign(net)
         assert net.route("dev-0", "gw-0") == before
 
-    def test_conservative_lookahead_is_min_link_latency(self):
+    def test_assignment_turns_on_region_routing(self):
+        """Assignments are what switch region routing on: a same-region
+        route is served from the region subgraph, which the unassigned
+        network never builds."""
         net = self._star()
-        assert net.conservative_lookahead() == pytest.approx(0.02)
-        empty = Network(master_seed=0)
-        assert empty.conservative_lookahead() == 0.0
-
-    def test_cross_shard_datagram_goes_through_exchange(self):
-        """A datagram whose destination is homed in another region rides
-        the cross-shard exchange; delivery still lands in the mailbox."""
-        net = self._star(shards=2)
+        net.route("dev-0", "gw-0")
+        assert net._region_graphs is None
         self._assign(net)
-        net.sim.lookahead = net.conservative_lookahead()
-        # dev-0 (shard 0) -> gw-1 (shard 1): destination owned elsewhere.
-        net.send_datagram("dev-0", "gw-1", payload="x")
-        net.sim.run()
-        box = net.node("gw-1").datagrams
-        assert len(box.items) == 1
-        assert net.sim.cross_shard_exchanged >= 1
+        net.route("dev-0", "gw-0")
+        assert sorted(net._region_graphs) == [0, 1]
+        assert "gw-1" not in net._region_graphs[0]
 
-    def test_same_shard_datagram_bypasses_exchange(self):
-        net = self._star(shards=2)
-        self._assign(net)
-        net.sim.lookahead = net.conservative_lookahead()
-        net.send_datagram("dev-0", "gw-0", payload="x")  # both shard 0
-        net.sim.run()
-        assert len(net.node("gw-0").datagrams.items) == 1
-        assert net.sim.cross_shard_exchanged == 0
-
-    def test_delivery_timeout_single_kernel_is_plain_timeout(self):
+    def test_cross_region_datagram_delivered(self):
         net = self._star()
-        self._assign(net)  # assignments without a sharded kernel are inert
-        net.send_datagram("dev-0", "gw-1", payload="x")
+        self._assign(net)
+        net.send_datagram("dev-0", "gw-1", payload="x")  # region 0 -> 1
         net.sim.run()
         assert len(net.node("gw-1").datagrams.items) == 1
