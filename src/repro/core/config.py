@@ -2,19 +2,32 @@
 
 One frozen dataclass gathers every tunable the experiments sweep: the
 compression codec, the security switch, gateway-selection policy parameters,
-and the CPU cost model for device-side packing work.
+retry, admission, fleet and session settings.  Values no caller varies are
+module constants next to the code that reads them.
 
 Cost model: nominal seconds per operation on the *server* hardware class;
 actual simulated time scales by the executing node's ``cpu_factor`` (a PDA
-pays ×25).  The defaults make PI packing cost a few hundred milliseconds on
+pays ×25).  The constants make PI packing cost a few hundred milliseconds on
 a PDA — the paper's "only [a] small amount of CPU time".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
+
+from ..compressor import codec_names
 
 __all__ = ["PDAgentConfig", "DEFAULT_CONFIG"]
+
+# --- CPU cost model (nominal seconds, server class) -------------------------
+XML_ENCODE_S_PER_KB = 0.0008
+XML_PARSE_S_PER_KB = 0.0010
+COMPRESS_S_PER_KB = 0.0015
+DECOMPRESS_S_PER_KB = 0.0008
+ENCRYPT_BASE_S = 0.004  # RSA seal of the session key
+ENCRYPT_S_PER_KB = 0.0006  # keystream XOR
+MD5_S_PER_KB = 0.0002
 
 
 @dataclass(frozen=True)
@@ -28,8 +41,6 @@ class PDAgentConfig:
     #: Encrypt the PI with the gateway's public key (§3.4).  When False the
     #: PI is sent with an MD5 integrity tag only.
     encrypt: bool = True
-    #: RSA modulus size for gateway keys.
-    rsa_bits: int = 512
 
     # --- gateway selection (§3.5) ------------------------------------------
     #: Selection policy: "nearest" (paper), "first", "random", "round_robin".
@@ -43,37 +54,14 @@ class PDAgentConfig:
     #: How long a measured RTT stays fresh before re-probing (seconds).
     rtt_cache_ttl: float = 300.0
 
-    # --- device-side CPU cost model (nominal seconds, server class) ---------
-    xml_encode_s_per_kb: float = 0.0008
-    xml_parse_s_per_kb: float = 0.0010
-    compress_s_per_kb: float = 0.0015
-    decompress_s_per_kb: float = 0.0008
-    encrypt_base_s: float = 0.004  # RSA seal of the session key
-    encrypt_s_per_kb: float = 0.0006  # keystream XOR
-    md5_s_per_kb: float = 0.0002
-
-    # --- gateway-side processing ------------------------------------------
-    #: Fixed servlet overhead per gateway request.
-    gateway_service_time: float = 0.008
-    #: Unpack (decrypt+decompress+parse) nominal cost per KB at the gateway.
-    gateway_unpack_s_per_kb: float = 0.0012
-
     # --- result collection -----------------------------------------------------
     #: Device polling interval when using poll-based collection (seconds).
     poll_interval: float = 5.0
-    #: Maximum polls before giving up.
-    max_polls: int = 240
 
     # --- fault tolerance (device-side retry + gateway watchdog) -------------
     #: Attempts per device↔gateway exchange before surfacing GatewayError.
+    #: The backoff shape between attempts is :class:`~repro.core.retry.RetryPolicy`'s.
     retry_max_attempts: int = 3
-    #: Backoff before retry k is ``base * factor**(k-1)`` (capped), with
-    #: deterministic ±jitter drawn from the device's named RNG stream.
-    retry_base_delay: float = 0.5
-    retry_backoff_factor: float = 2.0
-    retry_max_delay: float = 8.0
-    #: Jitter fraction in [0, 1): delay *= 1 + jitter * U(-1, 1).
-    retry_jitter: float = 0.1
     #: Wall-clock budget per logical exchange (all attempts + backoff).
     retry_deadline_s: float = 60.0
     #: Circuit breaker: consecutive failures before a gateway is skipped,
@@ -98,11 +86,6 @@ class PDAgentConfig:
     gateway_dispatch_workers: int = 4
     #: Uploads allowed to wait for a dispatch worker before shedding.
     admission_queue_limit: int = 16
-    #: Concurrent result/agent-op requests (cheap, latency-sensitive class;
-    #: a separate pool so downloads are never starved by uploads).
-    gateway_download_workers: int = 32
-    #: Downloads allowed to wait before shedding.
-    download_queue_limit: int = 128
     #: Token bucket pacing PI admission: sustained uploads/second and burst
     #: size.  rate <= 0 disables the bucket (queue bound still applies).
     admission_rate: float = 0.0
@@ -117,11 +100,8 @@ class PDAgentConfig:
     #: which the result document expires and its workspace is reclaimed.
     #: <= 0 retains results forever (the pre-TTL behaviour).
     result_ttl_s: float = 600.0
-    #: Device side: honour a 503's Retry-After (sleep, then retry the same
-    #: exchange) instead of failing immediately.  Sheds never trip the
-    #: circuit breaker either way.
-    retry_honour_retry_after: bool = True
-    #: Cap on a server-advertised Retry-After the device will actually wait.
+    #: Cap on a server-advertised Retry-After the device will actually wait
+    #: before retrying a shed exchange.
     retry_after_cap_s: float = 30.0
     #: Dedup binding retention: seconds past result reclaim (expiry or
     #: dispose) after which the task_id→ticket binding itself is dropped, so
@@ -137,36 +117,26 @@ class PDAgentConfig:
     #: Path for the sqlite backend; "" keeps a private in-memory database
     #: per gateway (hermetic simulations).
     sqlite_path: str = ""
-    #: Fleet tier: consistent-hash ownership of task_ids across gateways
-    #: with claim forwarding, making dedup authoritative fleet-wide.
+    #: Share one fleet membership across the deployment's gateways:
+    #: consistent-hash ownership of task_ids with claim forwarding, making
+    #: dedup authoritative fleet-wide.  Off, every gateway is a fleet of one.
     fleet_enabled: bool = False
-    #: Virtual nodes per gateway on the hash ring.
-    fleet_replicas: int = 32
     #: Claim RPC rounds against the owner before degrading to
     #: local-accept-with-reconciliation.
     fleet_claim_attempts: int = 2
     #: Per-round claim timeout (seconds).
     fleet_claim_timeout_s: float = 3.0
-    #: Forwarding circuit breaker: consecutive claim failures before an
-    #: owner is presumed down, and the cooldown before a half-open retry.
-    fleet_breaker_threshold: int = 2
+    #: Forwarding circuit breaker: the cooldown before a half-open retry of
+    #: an owner presumed down.
     fleet_breaker_cooldown_s: float = 15.0
-    #: Reconciliation loop for local-accepted tasks: re-claim every
-    #: interval, at most this many times, then abandon.
+    #: Reconciliation loop for local-accepted tasks: re-claim every interval.
     fleet_reconcile_interval_s: float = 5.0
-    fleet_reconcile_attempts: int = 10
-    #: Failure detector: suspicion probe cadence, and how long a suspect
-    #: may stay silent before the shared view marks it ``down``.
-    fleet_heartbeat_interval_s: float = 1.0
+    #: Failure detector: how long a suspect may stay silent before the
+    #: shared view marks it ``down``.
     fleet_suspicion_timeout_s: float = 6.0
     #: Graceful drain: how long a draining gateway waits for in-flight
     #: dispatches to finish before migrating whatever state it still owns.
     fleet_drain_timeout_s: float = 30.0
-    #: Migration wire protocol: items per /fleet/migrate batch and send
-    #: attempts per batch (idempotent — a resend is first-wins at the
-    #: receiver, so retries are safe).
-    fleet_migrate_batch: int = 32
-    fleet_migrate_attempts: int = 3
     #: Release retries before counting ``fleet.release_failed`` and letting
     #: the stale owner binding age out via its TTL.
     fleet_release_attempts: int = 3
@@ -191,12 +161,17 @@ class PDAgentConfig:
     #: Per-session reconnect-window push queue bound; when full the oldest
     #: notification is dropped (the poll fallback still covers it).
     push_queue_limit: int = 64
-    #: Device partial-result poll cadence while a session is open (seconds)
-    #: — much tighter than ``poll_interval`` because the session answers
-    #: from memory and flushes queued push events on the same contact.
-    session_poll_interval_s: float = 2.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # NaN slips past every ordered comparison below.
+            if isinstance(value, float) and math.isnan(value):
+                raise ValueError(f"{f.name} must not be NaN")
+        if self.codec not in codec_names():
+            raise ValueError(
+                f"unknown codec {self.codec!r}; available: {codec_names()}"
+            )
         if self.selection_policy not in ("nearest", "first", "random", "round_robin"):
             raise ValueError(f"unknown selection policy {self.selection_policy!r}")
         if self.probe_size < 1:
@@ -207,12 +182,6 @@ class PDAgentConfig:
             raise ValueError("poll_interval must be positive")
         if self.retry_max_attempts < 1:
             raise ValueError("retry_max_attempts must be >= 1")
-        if self.retry_base_delay < 0 or self.retry_max_delay < 0:
-            raise ValueError("retry delays must be non-negative")
-        if self.retry_backoff_factor < 1.0:
-            raise ValueError("retry_backoff_factor must be >= 1")
-        if not 0.0 <= self.retry_jitter < 1.0:
-            raise ValueError("retry_jitter must be in [0, 1)")
         if self.retry_deadline_s <= 0:
             raise ValueError("retry_deadline_s must be positive")
         if self.breaker_threshold < 1:
@@ -221,10 +190,8 @@ class PDAgentConfig:
             raise ValueError("breaker_cooldown_s must be positive")
         if self.gateway_dispatch_workers < 1:
             raise ValueError("gateway_dispatch_workers must be >= 1")
-        if self.gateway_download_workers < 1:
-            raise ValueError("gateway_download_workers must be >= 1")
-        if self.admission_queue_limit < 0 or self.download_queue_limit < 0:
-            raise ValueError("admission queue limits must be >= 0")
+        if self.admission_queue_limit < 0:
+            raise ValueError("admission_queue_limit must be >= 0")
         if self.admission_rate > 0 and self.admission_burst < 1:
             raise ValueError("admission_burst must be >= 1 when rate-limited")
         if self.shed_retry_after_s <= 0:
@@ -235,30 +202,18 @@ class PDAgentConfig:
             raise ValueError("retry_after_cap_s must be positive")
         if self.storage_backend not in ("memory", "sqlite"):
             raise ValueError(f"unknown storage backend {self.storage_backend!r}")
-        if self.fleet_replicas < 1:
-            raise ValueError("fleet_replicas must be >= 1")
         if self.fleet_claim_attempts < 1:
             raise ValueError("fleet_claim_attempts must be >= 1")
         if self.fleet_claim_timeout_s <= 0:
             raise ValueError("fleet_claim_timeout_s must be positive")
-        if self.fleet_breaker_threshold < 1:
-            raise ValueError("fleet_breaker_threshold must be >= 1")
         if self.fleet_breaker_cooldown_s <= 0:
             raise ValueError("fleet_breaker_cooldown_s must be positive")
         if self.fleet_reconcile_interval_s <= 0:
             raise ValueError("fleet_reconcile_interval_s must be positive")
-        if self.fleet_reconcile_attempts < 1:
-            raise ValueError("fleet_reconcile_attempts must be >= 1")
-        if self.fleet_heartbeat_interval_s <= 0:
-            raise ValueError("fleet_heartbeat_interval_s must be positive")
         if self.fleet_suspicion_timeout_s <= 0:
             raise ValueError("fleet_suspicion_timeout_s must be positive")
         if self.fleet_drain_timeout_s <= 0:
             raise ValueError("fleet_drain_timeout_s must be positive")
-        if self.fleet_migrate_batch < 1:
-            raise ValueError("fleet_migrate_batch must be >= 1")
-        if self.fleet_migrate_attempts < 1:
-            raise ValueError("fleet_migrate_attempts must be >= 1")
         if self.fleet_release_attempts < 1:
             raise ValueError("fleet_release_attempts must be >= 1")
         if self.fleet_release_retry_s <= 0:
@@ -273,8 +228,6 @@ class PDAgentConfig:
             raise ValueError("session_ttl_s must be positive")
         if self.push_queue_limit < 1:
             raise ValueError("push_queue_limit must be >= 1")
-        if self.session_poll_interval_s <= 0:
-            raise ValueError("session_poll_interval_s must be positive")
 
     def with_(self, **changes) -> "PDAgentConfig":
         """A modified copy (convenience for sweeps)."""
@@ -284,19 +237,19 @@ class PDAgentConfig:
     def pack_cost(self, xml_bytes: int) -> float:
         """Device-side cost to encode+compress+(encrypt) a PI of given size."""
         kb = xml_bytes / 1024.0
-        cost = self.xml_encode_s_per_kb * kb + self.compress_s_per_kb * kb
-        cost += self.md5_s_per_kb * kb
+        cost = XML_ENCODE_S_PER_KB * kb + COMPRESS_S_PER_KB * kb
+        cost += MD5_S_PER_KB * kb
         if self.encrypt:
-            cost += self.encrypt_base_s + self.encrypt_s_per_kb * kb
+            cost += ENCRYPT_BASE_S + ENCRYPT_S_PER_KB * kb
         return cost
 
     def unpack_cost(self, wire_bytes: int) -> float:
         """Receiver-side cost to verify+(decrypt)+decompress+parse."""
         kb = wire_bytes / 1024.0
-        cost = self.md5_s_per_kb * kb + self.decompress_s_per_kb * kb
-        cost += self.xml_parse_s_per_kb * kb
+        cost = MD5_S_PER_KB * kb + DECOMPRESS_S_PER_KB * kb
+        cost += XML_PARSE_S_PER_KB * kb
         if self.encrypt:
-            cost += self.encrypt_base_s + self.encrypt_s_per_kb * kb
+            cost += ENCRYPT_BASE_S + ENCRYPT_S_PER_KB * kb
         return cost
 
 

@@ -51,7 +51,8 @@ class Deployment:
     mas_servers: dict[str, MobileAgentServer] = field(default_factory=dict)
     devices: dict[str, Device] = field(default_factory=dict)
     platforms: dict[str, PDAgentPlatform] = field(default_factory=dict)
-    #: Fleet-tier membership/ownership map; None unless config.fleet_enabled.
+    #: The membership/ownership map the gateways share when
+    #: ``config.fleet_enabled``; None when each gateway is a fleet of one.
     fleet: Optional[Fleet] = None
 
     @property
@@ -95,7 +96,7 @@ class DeploymentBuilder:
         self.registry = AgentClassRegistry()
         self.catalog = ServiceCatalog()
         self.directory = SubscriptionDirectory()
-        self.vault = KeyVault(bits=self.config.rsa_bits, seed=master_seed)
+        self.vault = KeyVault(seed=master_seed)
         self.mas_flavour = mas_flavour
         self._central_address: Optional[str] = None
         self._central: Optional[CentralServer] = None
@@ -230,11 +231,11 @@ class DeploymentBuilder:
             raise ValueError("deployment needs a central server")
         if not self._gateways:
             raise ValueError("deployment needs at least one gateway")
+        # Every gateway starts as a fleet of one; fleet_enabled pools them
+        # into one shared membership view instead.
         fleet = None
         if self.config.fleet_enabled:
-            fleet = Fleet(
-                sorted(self._gateways), replicas=self.config.fleet_replicas
-            )
+            fleet = Fleet(sorted(self._gateways))
             for gateway in self._gateways.values():
                 gateway.enable_fleet(fleet)
             for platform in self._platforms.values():

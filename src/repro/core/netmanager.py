@@ -315,7 +315,7 @@ class NetworkManager:
                         f"(successor {resp.headers['x-fleet-successor']})",
                         retry_after=resp.retry_after or 0.0,
                     )
-                if resp.status == 503 and policy.honour_retry_after:
+                if resp.status == 503:
                     delay = resp.retry_after
                     if delay is None:
                         delay = policy.backoff_delay(attempt, self._retry_stream)

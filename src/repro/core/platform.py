@@ -32,6 +32,7 @@ from .config import DEFAULT_CONFIG, PDAgentConfig
 from .device_db import DispatchRecord, InternalDatabase, StoredCode
 from .dispatcher import AgentDispatcher
 from .errors import GatewayError, ResultNotReadyError, SubscriptionError
+from .gateway import ticket_origin
 from .netmanager import NetworkManager
 from .retry import CircuitBreaker, RetryPolicy
 from .security import DeviceSecurity
@@ -48,6 +49,13 @@ __all__ = [
     "CollectedResult",
     "StreamingDispatch",
 ]
+
+#: Result polls (classic or session) before collection gives up.
+MAX_POLLS = 240
+#: Partial-result poll cadence while a session is open (seconds) — much
+#: tighter than ``poll_interval`` because the session answers from memory
+#: and flushes queued push events on the same contact.
+SESSION_POLL_INTERVAL_S = 2.0
 
 
 @dataclass(frozen=True)
@@ -277,8 +285,7 @@ class PDAgentPlatform:
         # not handle.gateway — is where the result document lives.  A handle
         # returned by a fleet dedup (upload at B answered with A's ticket)
         # records gateway=B but must download from A.
-        head, sep, _ = handle.ticket.partition("/t-")
-        origin = head if sep else handle.gateway
+        origin = ticket_origin(handle.ticket) or handle.gateway
         if via == "":
             # Auto-select after a link flap: prefer the gateway that issued
             # the ticket — collecting there is direct, anywhere else relays.
@@ -329,7 +336,7 @@ class PDAgentPlatform:
         a tour with five sites to go is not worth re-dialling for in one
         base interval.
         """
-        for _ in range(self.config.max_polls):
+        for _ in range(MAX_POLLS):
             try:
                 result = yield from self.collect(handle)
                 return result
@@ -337,7 +344,7 @@ class PDAgentPlatform:
                 scale = max(1, exc.hops_remaining or 0)
                 yield self.device.sim.timeout(self.config.poll_interval * scale)
         raise ResultNotReadyError(
-            f"{handle.ticket}: no result after {self.config.max_polls} polls"
+            f"{handle.ticket}: no result after {MAX_POLLS} polls"
         )
 
     # ------------------------------------------------------------ streaming sessions
@@ -452,9 +459,9 @@ class PDAgentPlatform:
         degrades gracefully to the classic :meth:`collect_poll` loop.
         """
         session = dispatch.session
-        base = self.config.session_poll_interval_s
+        base = SESSION_POLL_INTERVAL_S
         interval = base
-        for _ in range(self.config.max_polls):
+        for _ in range(MAX_POLLS):
             if session.result_ready:
                 break
             try:
@@ -474,7 +481,7 @@ class PDAgentPlatform:
         else:
             raise ResultNotReadyError(
                 f"{dispatch.handle.ticket}: no result after "
-                f"{self.config.max_polls} session polls"
+                f"{MAX_POLLS} session polls"
             )
         result = yield from self.collect(dispatch.handle)
         yield from session.close()

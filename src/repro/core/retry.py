@@ -47,11 +47,10 @@ class RetryPolicy:
     jitter: float = 0.1
     deadline: float = 60.0
     per_purpose_deadlines: Mapping[str, float] = field(default_factory=dict)
-    #: Honour a 503 shed's Retry-After: sleep the advertised delay and retry
-    #: the same exchange ("shed, retry later") instead of surfacing a
-    #: GatewayError ("failed, give up").  Sheds never feed the breaker.
-    honour_retry_after: bool = True
-    #: Upper bound on a server-advertised Retry-After actually waited.
+    #: Upper bound on a server-advertised Retry-After actually waited: a 503
+    #: shed sleeps the advertised delay and retries the same exchange
+    #: ("shed, retry later") instead of surfacing a GatewayError.  Sheds
+    #: never feed the breaker.
     retry_after_cap: float = 30.0
 
     def __post_init__(self) -> None:
@@ -75,12 +74,7 @@ class RetryPolicy:
     def from_config(cls, config: "PDAgentConfig") -> "RetryPolicy":
         return cls(
             max_attempts=config.retry_max_attempts,
-            base_delay=config.retry_base_delay,
-            backoff_factor=config.retry_backoff_factor,
-            max_delay=config.retry_max_delay,
-            jitter=config.retry_jitter,
             deadline=config.retry_deadline_s,
-            honour_retry_after=config.retry_honour_retry_after,
             retry_after_cap=config.retry_after_cap_s,
         )
 

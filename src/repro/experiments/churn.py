@@ -95,7 +95,6 @@ def churn_config() -> PDAgentConfig:
         fleet_enabled=True,
         storage_backend="sqlite",
         dedup_ttl_s=300.0,
-        fleet_heartbeat_interval_s=1.0,
         fleet_suspicion_timeout_s=5.0,
         fleet_drain_timeout_s=15.0,
     )

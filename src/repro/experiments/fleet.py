@@ -44,6 +44,7 @@ from ..apps.ebanking import (
 )
 from ..core import Deployment, DeploymentBuilder, PDAgentConfig
 from ..core.errors import PDAgentError
+from ..core.gateway import ticket_origin
 from ..device import link_profile
 from ..mas import Stop
 from ..telemetry.exporters import TraceCollector
@@ -168,14 +169,14 @@ def _prewarm(deployment: Deployment, n_devices: int) -> None:
 
 def _final_ticket(deployment: Deployment, gateway: str, ticket_id: str):
     """The ticket object a handle names, following supersede pointers."""
-    origin, sep, _ = ticket_id.partition("/t-")
-    home = origin if sep and origin in deployment.gateways else gateway
+    origin = ticket_origin(ticket_id)
+    home = origin if origin in deployment.gateways else gateway
     ticket = deployment.gateway(home).ticket(ticket_id)
     for _ in range(4):
         if ticket.status == "superseded" and ticket.superseded_by:
             winner = ticket.superseded_by
-            origin, sep, _ = winner.partition("/t-")
-            home = origin if sep and origin in deployment.gateways else home
+            origin = ticket_origin(winner)
+            home = origin if origin in deployment.gateways else home
             ticket = deployment.gateway(home).ticket(winner)
             continue
         return ticket

@@ -38,6 +38,7 @@ from typing import Any, Generator, Optional
 from ..compressor import decompress
 from ..core import PDAgentConfig
 from ..core.errors import PDAgentError
+from ..core.gateway import ticket_origin
 from ..simnet.faults import FaultSchedule
 from ..telemetry.exporters import TraceCollector
 from .faults import reference_schedule
@@ -240,8 +241,7 @@ def _verify_byte_identity(
             handle = out.get("handle")
             if handle is None or not out["ok"]:
                 continue
-            head, sep, _ = handle.ticket.partition("/t-")
-            origin = head if sep else handle.gateway
+            origin = ticket_origin(handle.ticket) or handle.gateway
             try:
                 frame = yield from platform.netmanager.download_result(
                     handle.gateway, handle.ticket, origin=origin

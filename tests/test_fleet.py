@@ -26,15 +26,18 @@ from repro.apps.ebanking import (
     ebanking_service_code,
     make_transactions,
 )
-from repro.core import DeploymentBuilder, PDAgentConfig
+from repro.core import GATEWAY_PORT, DeploymentBuilder, PDAgentConfig
 from repro.core.fleet import (
+    FLEET_CLAIM_PATH,
     Fleet,
     HashRing,
     claim_reply,
     claim_request,
     release_request,
 )
+from repro.core.gateway import ticket_origin
 from repro.mas import Stop
+from repro.simnet.http import request as http_request
 from repro.xmlcodec import parse_bytes
 
 GATEWAYS = ("gw-0", "gw-1", "gw-2")
@@ -276,6 +279,57 @@ class TestRoamedRetry:
         assert len(dispatched_agents(dep)) == 2
 
 
+class TestFleetOfOne:
+    """Without a shared fleet, every gateway is its own one-member fleet."""
+
+    def post(self, dep, client, server, path, body):
+        return drive(
+            dep,
+            http_request(
+                dep.network, client, server, "POST", path,
+                body=body, body_size=len(body), port=GATEWAY_PORT,
+                raise_for_status=False,
+            ),
+        )
+
+    def test_standalone_gateway_arbitrates_claims(self):
+        dep = build_dep(config=fleet_config(fleet_enabled=False))
+        assert dep.gateway("gw-0").fleet.members == ("gw-0",)
+        first = self.post(
+            dep, "gw-1", "gw-0", FLEET_CLAIM_PATH,
+            claim_request("solo-task", "gw-1/t-1", "gw-1"),
+        )
+        assert parse_bytes(first.body).get("verdict") == "granted"
+        second = self.post(
+            dep, "gw-2", "gw-0", FLEET_CLAIM_PATH,
+            claim_request("solo-task", "gw-2/t-1", "gw-2"),
+        )
+        reply = parse_bytes(second.body)
+        assert reply.get("verdict") == "bound"
+        assert reply.findtext("ticket") == "gw-1/t-1"
+
+    def test_standalone_drain_completes_and_keeps_its_state(self):
+        dep = build_dep(config=fleet_config(fleet_enabled=False))
+        subscribe(dep)
+        handle = deploy(dep, "gw-0", task_id="solo-drain")
+        gw = dep.gateway("gw-0")
+        assert drive(dep, gw.drain()) == 0
+        assert gw.fleet.view.drains_completed == [("gw-0", 2)]
+        # No successor to hand anything to: all of it stays, declared.
+        assert gw.drain_leftover == {handle.ticket, "solo-drain"}
+        resp = self.post(dep, "pda", "gw-0", "/pi", b"<pi/>")
+        assert resp.status == 503
+        assert "Retry-After" in resp.headers
+        assert "x-fleet-successor" not in resp.headers
+        gw.restart()
+        assert gw.fleet.view.state("gw-0") == "active"
+
+
+def test_ticket_origin():
+    assert ticket_origin("gw-0/t-12") == "gw-0"
+    assert ticket_origin("legacy-ticket") == ""
+
+
 # ---------------------------------------------------------------------------
 # collect-anywhere
 # ---------------------------------------------------------------------------
@@ -411,7 +465,6 @@ class TestOwnerCrashMidForward:
         config = fleet_config(
             fleet_claim_timeout_s=1.0,
             fleet_claim_attempts=4,
-            fleet_breaker_threshold=2,
             fleet_breaker_cooldown_s=60.0,
         )
         dep = build_dep(config=config)

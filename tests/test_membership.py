@@ -271,7 +271,6 @@ class TestFailureDetector:
         config = fleet_config(
             fleet_claim_timeout_s=1.0,
             fleet_suspicion_timeout_s=3.0,
-            fleet_heartbeat_interval_s=1.0,
             fleet_reconcile_interval_s=2.0,
         )
         dep = build_dep(config=config)
