@@ -68,7 +68,7 @@ class GatewaySelector:
         self.keyring = keyring
         self.breaker = breaker
         #: Fleet membership view (installed at deployment build when the
-        #: fleet tier is on).  Members not in a healthy state are hard-
+        #: gateways share a fleet).  Members not in a healthy state are hard-
         #: excluded from selection; ``None`` means no health signal.
         self.membership = None
         self._entries: list[GatewayEntry] = []
