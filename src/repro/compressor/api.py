@@ -112,7 +112,11 @@ def compress(data: bytes, codec: str = "lzss") -> bytes:
 
 
 def decompress(frame: bytes) -> bytes:
-    """Inverse of :func:`compress`."""
+    """Inverse of :func:`compress`.
+
+    Every corrupt frame raises :class:`CompressionError`; a codec's own
+    ``EOFError``/``ValueError`` is its ``__cause__``.
+    """
     if len(frame) < _HEADER.size:
         raise CompressionError("frame shorter than header")
     magic, codec_id, length = _HEADER.unpack_from(frame)
@@ -121,7 +125,10 @@ def decompress(frame: bytes) -> bytes:
     codec = _BY_ID.get(codec_id)
     if codec is None:
         raise CompressionError(f"unknown codec id {codec_id}")
-    out = codec.decode(frame[_HEADER.size :], length)
+    try:
+        out = codec.decode(frame[_HEADER.size :], length)
+    except (EOFError, ValueError) as exc:
+        raise CompressionError(f"corrupt {codec.name} body: {exc}") from exc
     if len(out) != length:
         raise CompressionError(
             f"length mismatch: header says {length}, decoded {len(out)}"

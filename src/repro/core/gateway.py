@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, Union
 
-from ..compressor import compress
+from ..compressor import CompressionError, compress
 from ..crypto import CryptoError, IntegrityError, KeyVault, validate_dispatch_key
 from ..mas.adapters import MASAdapter
 from ..mas.itinerary import Itinerary
@@ -146,7 +146,7 @@ class XmlWriter:
             return unpack(frame, self._security)
         except IntegrityError:
             raise
-        except (XmlError, ValueError, KeyError) as exc:
+        except (CompressionError, XmlError, ValueError, KeyError) as exc:
             raise DeploymentError(f"malformed PI: {exc}") from exc
 
 

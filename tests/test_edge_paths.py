@@ -127,6 +127,24 @@ class TestMalformedGatewayInputs:
         resp = self._post(dep, "/pi", {"not": "bytes"}, body_size=10)
         assert resp.status == 400
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda frame: frame[: len(frame) // 2], lambda frame: b"XXXX" + frame[4:]],
+        ids=["truncated-body", "bad-magic"],
+    )
+    def test_corrupt_compressed_pi_rejected_400(self, dep, corrupt):
+        """An authenticated PI whose compressed frame is damaged is the
+        client's error (400), not a gateway fault (500)."""
+        from repro.compressor import compress
+        from repro.core.security import PLAIN_MAGIC
+        from repro.crypto import md5
+
+        frame = corrupt(compress(b"<pi>" + b"<t>100</t>" * 50 + b"</pi>", "lzss"))
+        resp = self._post(dep, "/pi", PLAIN_MAGIC + md5(frame) + frame)
+        assert resp.status == 400
+        assert resp.reason.startswith("malformed PI")
+        assert dep.network.tracer.counters.get("http_500", 0) == 0
+
     def test_malformed_subscribe_rejected_400(self, dep):
         resp = self._post(dep, "/subscribe", b"<broken")
         assert resp.status == 400
