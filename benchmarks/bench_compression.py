@@ -6,7 +6,7 @@ transferred packet and thus reduces the transmission time."  Turning
 compression off (null codec) must visibly inflate both.
 """
 
-from repro.compressor import compress
+from repro.compressor import get_codec
 from repro.experiments.ablations import run_codec_ablation
 from repro.experiments.report import format_table
 
@@ -52,11 +52,23 @@ def _pi_corpus():
 
 def test_lzss_throughput_on_pi(benchmark):
     corpus = _pi_corpus()
-    frame = benchmark(compress, corpus, "lzss")
-    assert len(frame) < len(corpus) / 2
+    body = benchmark(get_codec("lzss").encode, corpus)
+    assert len(body) < len(corpus) / 2
 
 
 def test_huffman_throughput_on_pi(benchmark):
     corpus = _pi_corpus()
-    frame = benchmark(compress, corpus, "huffman")
-    assert len(frame) < len(corpus)
+    body = benchmark(get_codec("huffman").encode, corpus)
+    assert len(body) < len(corpus)
+
+
+def test_lzss_decode_throughput_on_pi(benchmark):
+    corpus = _pi_corpus()
+    codec = get_codec("lzss")
+    assert benchmark(codec.decode, codec.encode(corpus), len(corpus)) == corpus
+
+
+def test_huffman_decode_throughput_on_pi(benchmark):
+    corpus = _pi_corpus()
+    codec = get_codec("huffman")
+    assert benchmark(codec.decode, codec.encode(corpus), len(corpus)) == corpus
