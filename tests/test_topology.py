@@ -1,7 +1,12 @@
 """Tests for links, routing, datagrams, and path-delay sampling."""
 
+import re
+
+import networkx as nx
 import pytest
 
+from repro.core import DeploymentBuilder
+from repro.device import link_profile
 from repro.simnet import LinkSpec, Network, Node, NoRouteError
 
 
@@ -288,3 +293,132 @@ class TestRegionAssignment:
         net.send_datagram("dev-0", "gw-1", payload="x")  # region 0 -> 1
         net.sim.run()
         assert len(net.node("gw-1").datagrams.items) == 1
+
+
+def assert_routes_match_networkx(net):
+    """Every ordered node pair routes as networkx's weighted shortest path;
+    where networkx finds none, ``route`` raises NoRouteError naming both
+    endpoints (the message reaches exported spans)."""
+    nodes = sorted(net._graph)
+    for s in nodes:
+        for d in nodes:
+            try:
+                expected = nx.shortest_path(net._graph, s, d, weight="weight")
+            except nx.NetworkXNoPath:
+                message = f"^{re.escape(f'no route {s} -> {d}')}$"
+                with pytest.raises(NoRouteError, match=message):
+                    net.route(s, d)
+            else:
+                assert net.route(s, d) == expected, (s, d)
+
+
+class TestRoutePins:
+    """``Network.route`` against networkx on the shapes deployments build."""
+
+    @staticmethod
+    def _star():
+        """DeploymentBuilder's star: everything hangs off the backbone."""
+        builder = DeploymentBuilder(master_seed=0)
+        builder.add_central("central")
+        for g in range(3):
+            builder.add_gateway(f"gw-{g}")
+        builder.add_site("bank-a")
+        for i in range(4):
+            builder.add_device(f"dev-{i}", wireless="WLAN")
+        return builder.network
+
+    @staticmethod
+    def _ap_cells():
+        """The simtest harness's shape: devices attach to access-point
+        routers, which hang off the backbone.  ap-0 serves one device and
+        ap-2 none."""
+        builder = DeploymentBuilder(master_seed=0)
+        builder.add_central("central")
+        for g in range(2):
+            builder.add_gateway(f"gw-{g}")
+        builder.add_site("bank-a")
+        for j in range(3):
+            builder.network.add_node(f"ap-{j}", kind="router")
+            builder.network.add_duplex_link(
+                f"ap-{j}", "backbone", link_profile("LAN")
+            )
+        for i, ap in enumerate((0, 1, 1, 1)):
+            builder.add_device(f"dev-{i}", wireless="WLAN", attach_to=f"ap-{ap}")
+        return builder.build()
+
+    def test_star(self):
+        assert_routes_match_networkx(self._star())
+
+    def test_ap_cells(self):
+        dep = self._ap_cells()
+        assert_routes_match_networkx(dep.network)
+        assert dep.network.route("dev-0", "dev-3") == [
+            "dev-0", "ap-0", "backbone", "ap-1", "dev-3",
+        ]
+
+    def test_after_handover(self):
+        dep = self._ap_cells()
+        assert_routes_match_networkx(dep.network)  # warm the route cache
+        dep.devices["dev-1"].move_to("ap-2", link_profile("WLAN"))
+        assert_routes_match_networkx(dep.network)
+        assert dep.network.route("gw-0", "dev-1") == [
+            "gw-0", "backbone", "ap-2", "dev-1",
+        ]
+
+    @pytest.mark.parametrize(
+        "down",
+        [
+            [("ap-0", "backbone"), ("backbone", "ap-0")],
+            [("ap-0", "backbone")],
+            [("backbone", "ap-0")],
+        ],
+        ids=["both-directions", "uplink-only", "downlink-only"],
+    )
+    def test_ap_uplink_down(self, down):
+        """With ap-0 cut off, its one device and the AP form a closed
+        pair: routes out of (or into) it fail instead of looping."""
+        net = self._ap_cells().network
+        assert_routes_match_networkx(net)
+        for src, dst in down:
+            net.set_link_state(src, dst, up=False)
+        assert_routes_match_networkx(net)
+        outward = ("ap-0", "backbone") in down
+        src, dst = ("dev-0", "gw-0") if outward else ("gw-0", "dev-0")
+        with pytest.raises(NoRouteError):
+            net.route(src, dst)
+
+    def test_after_update_link_spec(self):
+        net = self._ap_cells().network
+        assert_routes_match_networkx(net)
+        net.update_link_spec("ap-1", "backbone", link_profile("WAN"))
+        net.update_link_spec("gw-1", "backbone", link_profile("GPRS"))
+        assert_routes_match_networkx(net)
+
+    def test_mesh_with_leaf_after_update_link_spec(self):
+        """A cycle (a-b-c with a slow a-c shortcut) plus the leaf d: the
+        leaf's link is peeled and the cycle still searched."""
+        net = Network(master_seed=1)
+        for name in ("a", "b", "c", "d"):
+            net.add_node(name)
+        net.add_duplex_link("a", "b", spec(latency=0.01))
+        net.add_duplex_link("b", "c", spec(latency=0.01))
+        net.add_duplex_link("a", "c", spec(latency=0.1))
+        net.add_duplex_link("c", "d", spec(latency=0.01))
+        assert_routes_match_networkx(net)
+        assert net.route("d", "a") == ["d", "c", "b", "a"]
+        net.update_link_spec("a", "c", spec(latency=0.005))
+        net.update_link_spec("c", "a", spec(latency=0.005))
+        assert_routes_match_networkx(net)
+        assert net.route("d", "a") == ["d", "c", "a"]
+
+    def test_datagram_between_leaf_devices(self):
+        net = self._ap_cells().network
+        net.send_datagram("dev-0", "dev-3", payload="x")
+
+        def consumer():
+            dgram = yield net.node("dev-3").datagrams.get()
+            return dgram
+
+        dgram = net.sim.run(until=net.sim.process(consumer()))
+        assert (dgram.src, dgram.payload) == ("dev-0", "x")
+        assert net.sim.now > 0
