@@ -85,13 +85,8 @@ class DeploymentBuilder:
         master_seed: int = 0,
         config: Optional[PDAgentConfig] = None,
         mas_flavour: str = "aglets",
-        regions: Optional[int] = None,
     ) -> None:
         self.config = config or PDAgentConfig()
-        # regions=K homes gateways and devices in K gateway regions, which
-        # switches on region-scoped routing (same paths, O(region) Dijkstra
-        # instead of O(population)); None leaves every node unassigned.
-        self.regions = int(regions) if regions else 0
         self.network = Network(master_seed=master_seed)
         self.registry = AgentClassRegistry()
         self.catalog = ServiceCatalog()
@@ -154,12 +149,6 @@ class DeploymentBuilder:
             config=self.config,
         )
         self._gateways[address] = gateway
-        if self.regions:
-            # Gateway g homes region g % K; its region subgraph carries all
-            # routing for the devices assigned to the same region.
-            self.network.assign_region(
-                address, (len(self._gateways) - 1) % self.regions
-            )
         if register:
             self._central.register_gateway(address)
         return self
@@ -191,24 +180,16 @@ class DeploymentBuilder:
         profile: str = "PDA",
         wireless: LinkSpec | str = "GPRS",
         attach_to: Optional[str] = None,
-        region: Optional[int] = None,
     ) -> "DeploymentBuilder":
         """Create a device + platform; its wireless link lands on
         ``attach_to`` (default: the backbone, i.e. an access point that can
-        reach every gateway).  On a deployment with regions the device is
-        homed in ``region`` (its home cell), defaulting to round-robin over
-        the region count."""
+        reach every gateway)."""
         if self._central_address is None:
             raise ValueError("add_central() must come before add_device()")
         device = Device(self.network, address, profile=profile)
         device.attach_wireless(
             attach_to or self._backbone, self._resolve_link(wireless)
         )
-        if self.regions:
-            home = (
-                len(self._devices) % self.regions if region is None else region
-            )
-            self.network.assign_region(address, home % self.regions)
         self._devices[address] = device
         self._platforms[address] = PDAgentPlatform(
             device, self._central_address, config=self.config

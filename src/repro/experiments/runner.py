@@ -12,9 +12,8 @@ Usage (installed as ``pdagent-experiments``)::
     pdagent-experiments churn        # rolling restart of every fleet member
     pdagent-experiments diversity    # diurnal + flash-crowd day, full app mix
     pdagent-experiments scale        # device-population kernel sweep
-                                     #   (--regions N for region routing;
-                                     #   not part of "all" — it is the perf
-                                     #   bench, see BENCH_scale.json)
+                                     #   (not part of "all" — it is the
+                                     #   perf bench, see BENCH_scale.json)
     pdagent-experiments claims       # C1 code sizes, C2 footprint
     pdagent-experiments ablations    # A1-A4
     pdagent-experiments extensions   # E1-E4
@@ -144,22 +143,19 @@ def _run_churn(args, collector=None):
 
 
 def _run_scale(args, collector=None):
-    """Device-population sweep; --max-n caps the largest population and
-    --regions homes every row's gateways and devices in N regions."""
+    """Device-population sweep; --max-n caps the largest population."""
     populations = scale.DEFAULT_POPULATIONS
     if args.max_n:
         populations = tuple(n for n in populations if n <= args.max_n) or (
             args.max_n,
         )
-    result = scale.run_scale_sweep(
-        populations, seed=args.seed, regions=args.regions
-    )
+    result = scale.run_scale_sweep(populations, seed=args.seed)
     print(result.render())
     if args.csv:
         path = os.path.join(args.csv, "scale.csv")
-        rows = ["population,gateways,regions,events_processed,events_per_sec"]
+        rows = ["population,gateways,events_processed,events_per_sec"]
         rows += [
-            f"{r.population},{r.gateways},{r.regions},"
+            f"{r.population},{r.gateways},"
             f"{r.events_processed},{r.events_per_sec:.1f}"
             for r in result.populations
         ]
@@ -251,12 +247,6 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         help="cap the transaction sweep at N (smaller, faster runs)",
-    )
-    parser.add_argument(
-        "--regions",
-        type=int,
-        default=0,
-        help="scale: home gateways and devices in N regions (region routing)",
     )
     args = parser.parse_args(argv)
     if args.csv:

@@ -18,9 +18,8 @@ baseline, which CI compares against (see ``benchmarks/bench_scale.py``).
 
 Determinism: the sweep is seeded like every other experiment; for a fixed
 (seed, population) the simulated timeline — ``events_processed``, task
-completions, every connection record — is bit-reproducible, with or
-without gateway regions.  Only the wall-clock/RSS measurements vary run to
-run.
+completions, every connection record — is bit-reproducible.  Only the
+wall-clock/RSS measurements vary run to run.
 """
 
 from __future__ import annotations
@@ -47,14 +46,9 @@ __all__ = [
     "run_population",
     "run_scale_sweep",
     "DEFAULT_POPULATIONS",
-    "REGION_POPULATIONS",
 ]
 
 DEFAULT_POPULATIONS = (100, 1000, 5000)
-#: The region axis of the sweep: (population, region count).  Region counts
-#: track the gateway fleet (one region per gateway), giving constant
-#: devices-per-region as the population grows.
-REGION_POPULATIONS = ((5000, 10), (20000, 40))
 #: One gateway per this many devices (minimum 2 — it is a *fleet*).
 DEVICES_PER_GATEWAY = 500
 #: Simulated seconds between consecutive device task starts.  Small enough
@@ -64,12 +58,10 @@ ARRIVAL_SPACING_S = 0.05
 
 @dataclass
 class PopulationResult:
-    """Measurements for one (population, region count) point."""
+    """Measurements for one population."""
 
     population: int
     gateways: int
-    #: Gateway regions assigned (0 = none; routing runs on the full graph).
-    regions: int
     tasks_completed: int
     events_processed: int
     sim_time_s: float
@@ -80,10 +72,8 @@ class PopulationResult:
     peak_rss_mb: float
 
     def render(self) -> str:
-        regions = f"{self.regions} regions" if self.regions else "plain"
         return (
             f"{self.population:>6} devices  {self.gateways:>3} gw  "
-            f"{regions:>11}  "
             f"{self.events_processed:>9} events  "
             f"{self.events_per_sec:>9.0f} ev/s  "
             f"{self.wall_per_task_s * 1e3:>8.2f} ms/task  "
@@ -139,7 +129,6 @@ def run_population(
     n_gateways: Optional[int] = None,
     config: Optional[PDAgentConfig] = None,
     transactions_per_task: int = 1,
-    regions: int = 0,
 ) -> PopulationResult:
     """Build and run one population; returns its measurements.
 
@@ -147,16 +136,11 @@ def run_population(
     gateway (round-robin over the fleet — the balanced-fleet model; the
     nearest-RTT policy is exercised by the selection benches), waits for
     completion, and downloads the result.
-
-    ``regions`` > 0 homes gateway *g* in region ``g % regions`` and each
-    device in its gateway's region, which switches on region-scoped
-    routing.  The routes, and so the whole timeline, are the same as the
-    plain run's; only the cost of computing them drops.
     """
     if n_gateways is None:
         n_gateways = max(2, n_devices // DEVICES_PER_GATEWAY)
     t_build = time.perf_counter()
-    builder = DeploymentBuilder(master_seed=seed, config=config, regions=regions)
+    builder = DeploymentBuilder(master_seed=seed, config=config)
     builder.add_central("central")
     for g in range(n_gateways):
         builder.add_gateway(f"gw-{g}")
@@ -164,12 +148,7 @@ def run_population(
     builder.register_agent_class(EBankingAgent)
     builder.publish(ebanking_service_code())
     for i in range(n_devices):
-        # Home cell policy: a device shares its assigned gateway's region.
-        builder.add_device(
-            f"dev-{i}",
-            wireless="WLAN",
-            region=(i % n_gateways) % regions if regions else None,
-        )
+        builder.add_device(f"dev-{i}", wireless="WLAN")
     deployment = builder.build()
     build_wall = time.perf_counter() - t_build
 
@@ -205,7 +184,6 @@ def run_population(
     return PopulationResult(
         population=n_devices,
         gateways=n_gateways,
-        regions=regions,
         tasks_completed=completed,
         events_processed=sim.events_processed,
         sim_time_s=sim.now,
@@ -221,23 +199,12 @@ def run_scale_sweep(
     populations: tuple[int, ...] = DEFAULT_POPULATIONS,
     seed: int = 0,
     config: Optional[PDAgentConfig] = None,
-    regions: int = 0,
-    region_populations: tuple[tuple[int, int], ...] = (),
 ) -> ScaleSweepResult:
-    """Run the device-population sweep at each size in ``populations``.
-
-    With ``regions`` set, every population runs with that many gateway
-    regions.  ``region_populations`` appends explicit (population, regions)
-    rows — the region axis of ``BENCH_scale.json``.
-    """
+    """Run the device-population sweep at each size in ``populations``."""
     result = ScaleSweepResult(seed=seed)
-    rows = [(population, regions) for population in populations]
-    rows += list(region_populations)
-    for population, n_regions in rows:
+    for population in populations:
         result.populations.append(
-            run_population(
-                population, seed=seed, config=config, regions=n_regions
-            )
+            run_population(population, seed=seed, config=config)
         )
     return result
 
@@ -253,29 +220,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--regions",
-        type=int,
-        default=0,
-        help="run every population with N gateway regions (region routing)",
-    )
-    parser.add_argument(
-        "--region-axis",
-        action="store_true",
-        help="append the large region rows "
-        + ", ".join(f"{n}@{k}" for n, k in REGION_POPULATIONS),
-    )
-    parser.add_argument(
         "--out",
         default=None,
         help="write the sweep result as JSON (e.g. BENCH_scale.json)",
     )
     args = parser.parse_args(argv)
-    result = run_scale_sweep(
-        tuple(args.populations),
-        seed=args.seed,
-        regions=args.regions,
-        region_populations=REGION_POPULATIONS if args.region_axis else (),
-    )
+    result = run_scale_sweep(tuple(args.populations), seed=args.seed)
     print(result.render())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

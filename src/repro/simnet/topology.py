@@ -1,8 +1,9 @@
 """Network topology: nodes, links, routing, and datagram delivery.
 
 The :class:`Network` ties together the kernel, the RNG streams, the node
-table and the link table.  Routing uses networkx shortest paths weighted by
-base link latency, recomputed lazily whenever the topology changes.
+table and the link table.  Routes are shortest paths weighted by base link
+latency, computed lazily and cached until the topology changes; single-link
+(leaf) hops at either end are taken without a graph search.
 
 Multi-hop transfers are modelled end-to-end: propagation delay is the sum of
 per-link latency samples and serialisation uses the bottleneck (minimum)
@@ -73,17 +74,11 @@ class Network:
         # bandwidth); invalidated together with _routes on topology change.
         self._route_links: dict[tuple[str, str], list[Link]] = {}
         self._bottlenecks: dict[tuple[str, str], float] = {}
-        # Gateway-region assignment: address -> region index.  Unassigned
-        # nodes (backbone, central, bank sites) are *infrastructure* and
-        # appear in every region's routing subgraph.
-        self._regions: dict[str, int] = {}
-        self._region_graphs: Optional[dict[int, nx.DiGraph]] = None
 
     def _invalidate_routes(self) -> None:
         self._routes.clear()
         self._route_links.clear()
         self._bottlenecks.clear()
-        self._region_graphs = None
 
     # -- topology construction -------------------------------------------------
     def add_node(self, node: Node | str, kind: str = "host", cpu_factor: float = 1.0) -> Node:
@@ -183,83 +178,6 @@ class Network:
             self._graph.remove_edge(src, dst)
         self._invalidate_routes()
 
-    # -- region assignment ----------------------------------------------------
-    def assign_region(self, address: str, region: int) -> None:
-        """Home ``address`` in gateway region ``region``.
-
-        Assignments switch on region-scoped routing (see
-        :meth:`_region_route`), which returns the same paths as the full
-        graph; they never change delivery semantics.
-        """
-        if address not in self._nodes:
-            raise KeyError(f"unknown node {address!r}")
-        if region < 0:
-            raise ValueError(f"region index must be >= 0, got {region!r}")
-        self._regions[address] = int(region)
-        self._invalidate_routes()
-
-    def region_of(self, address: str) -> Optional[int]:
-        """Home region of a node, or None for unassigned infrastructure."""
-        return self._regions.get(address)
-
-    def _build_region_graphs(self) -> dict[int, nx.DiGraph]:
-        """Materialise one routing subgraph per region in a single edge pass.
-
-        Region *k* holds every edge whose endpoints are both in region *k*
-        or unassigned infrastructure; infra–infra edges go to all regions
-        and cross-region edges to none (those routes fall back to the full
-        graph).  Real DiGraphs — not ``nx.subgraph`` views — so Dijkstra's
-        adjacency scans are O(region), not O(population): with the hub-and-
-        spoke deployments the backbone's full-graph degree grows with the
-        population and made routing the dominant superlinear cost.
-        """
-        assigned = self._regions
-        regions = {
-            region: nx.DiGraph() for region in sorted(set(assigned.values()))
-        }
-        for src, dst, data in self._graph.edges(data=True):
-            r_src = assigned.get(src)
-            r_dst = assigned.get(dst)
-            if r_src is None and r_dst is None:
-                targets = regions.values()
-            elif r_src is None or r_dst is None or r_src == r_dst:
-                region = regions.get(r_src if r_src is not None else r_dst)
-                targets = (region,) if region is not None else ()
-            else:  # cross-region edge: full-graph routing only
-                targets = ()
-            for graph in targets:
-                graph.add_edge(src, dst, **data)
-        return regions
-
-    def _region_route(self, src: str, dst: str) -> Optional[list[str]]:
-        """Region-scoped shortest path, or None to use the full graph.
-
-        Applies when the endpoints share a region (counting infrastructure
-        as a member of every region).  The hub-and-spoke deployments route
-        every such pair through infrastructure inside the region subgraph,
-        so the result matches the full-graph path; any pair the subgraph
-        cannot serve falls back rather than erroring.
-        """
-        assigned = self._regions
-        if not assigned:
-            return None
-        r_src = assigned.get(src)
-        r_dst = assigned.get(dst)
-        if r_src is None and r_dst is None:
-            return None
-        if r_src is not None and r_dst is not None and r_src != r_dst:
-            return None
-        region = r_src if r_src is not None else r_dst
-        if self._region_graphs is None:
-            self._region_graphs = self._build_region_graphs()
-        graph = self._region_graphs.get(region)
-        if graph is None:
-            return None
-        try:
-            return nx.shortest_path(graph, src, dst, weight="weight")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            return None
-
     # -- routing ------------------------------------------------------------
     def route(self, src: str, dst: str) -> list[str]:
         """Shortest-latency node path from ``src`` to ``dst`` (inclusive)."""
@@ -270,14 +188,54 @@ class Network:
         if path is None:
             if src not in self._nodes or dst not in self._nodes:
                 raise KeyError(f"route endpoints {src!r}/{dst!r} must be nodes")
-            path = self._region_route(src, dst)
+            path = self._leaf_route(src, dst)
             if path is None:
-                try:
-                    path = nx.shortest_path(self._graph, src, dst, weight="weight")
-                except nx.NetworkXNoPath:
-                    raise NoRouteError(f"no route {src} -> {dst}") from None
+                raise NoRouteError(f"no route {src} -> {dst}")
             self._routes[key] = path
         return path
+
+    def _leaf_route(self, src: str, dst: str) -> Optional[list[str]]:
+        """Peel single links off both ends, then search what is left.
+
+        While the head of the path has exactly one out-link, or its tail
+        exactly one in-link, that link is a bridge every ``src`` -> ``dst``
+        path crosses, so it is taken without a search.  Stars and AP cells
+        are routed by the two walks alone; otherwise the pair left between
+        them costs one ``nx.shortest_path``, cached under its own pair.
+        The spliced path is the one networkx returns for ``src`` -> ``dst``
+        whenever the shortest path is unique, as it is on a tree.  A walk
+        that comes back to a node it peeled is a closed loop short of the
+        other end: no route (None).
+        """
+        succ, pred = self._graph.succ, self._graph.pred
+        head = {src: 0}  # peeled node -> its position on the path
+        node = src
+        while node != dst and len(succ[node]) == 1:
+            (node,) = succ[node]
+            if node in head:
+                return None
+            head[node] = len(head)
+        if node == dst:
+            return list(head)
+        core_src = node
+        tail = {dst: None}
+        node = dst
+        while len(pred[node]) == 1:
+            (node,) = pred[node]
+            if node in head:  # the walks meet
+                return list(head)[: head[node] + 1] + list(tail)[::-1]
+            if node in tail:
+                return None
+            tail[node] = None
+        core = (core_src, node)
+        middle = self._routes.get(core)
+        if middle is None:
+            try:
+                middle = nx.shortest_path(self._graph, *core, weight="weight")
+            except nx.NetworkXNoPath:
+                return None
+            self._routes[core] = middle
+        return list(head) + middle[1:-1] + list(tail)[::-1]
 
     def path_links(self, src: str, dst: str) -> list[Link]:
         """Links along the current route from ``src`` to ``dst``."""

@@ -9,6 +9,8 @@ reassociation, or cache state into the timeline fails loudly.
 
 import io
 
+import networkx as nx
+
 from repro.experiments.scale import _maxrss_bytes, run_population
 from repro.experiments.scenario import build_scenario, run_pdagent_batch
 from repro.telemetry import TraceCollector
@@ -53,23 +55,22 @@ class TestGoldenSeedDeterminism:
         assert event_counts[0] == event_counts[1]
 
 
-class TestRegionScaleIdentity:
-    def test_regions_run_identical_timeline(self):
-        """Region routing returns the full graph's paths, so a run with
-        gateway regions replays the plain timeline exactly — same event
-        count, same end time, same completions."""
-        plain = run_population(POP, seed=0, n_gateways=4)
-        regioned = run_population(POP, seed=0, n_gateways=4, regions=4)
-        assert (plain.regions, regioned.regions) == (0, 4)
-        assert regioned.events_processed == plain.events_processed
-        assert regioned.sim_time_s == plain.sim_time_s
-        assert regioned.tasks_completed == plain.tasks_completed == POP
+class TestLeafRouting:
+    def test_population_run_searches_no_graph(self, monkeypatch):
+        """Every node of a scale deployment hangs off the backbone by one
+        duplex link, so leaf peeling routes every pair without a networkx
+        search (a full-graph search per pair made the sweep O(N^2))."""
+        searches = []
+        search = nx.shortest_path
 
-    def test_one_region_identical_timeline(self):
-        plain = run_population(POP, seed=2)
-        regioned = run_population(POP, seed=2, regions=1)
-        assert regioned.events_processed == plain.events_processed
-        assert regioned.sim_time_s == plain.sim_time_s
+        def counted(graph, source, target, *args, **kwargs):
+            searches.append((source, target))
+            return search(graph, source, target, *args, **kwargs)
+
+        monkeypatch.setattr(nx, "shortest_path", counted)
+        result = run_population(POP, seed=0)
+        assert result.tasks_completed == POP
+        assert searches == []
 
 
 class TestScaleHarness:

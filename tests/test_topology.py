@@ -1,9 +1,13 @@
 """Tests for links, routing, datagrams, and path-delay sampling."""
 
 import re
+import signal
+from contextlib import contextmanager
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DeploymentBuilder
 from repro.device import link_profile
@@ -217,84 +221,6 @@ class TestDatagramsAndPing:
         assert link.transfers == 1
 
 
-class TestRegionAssignment:
-    """Gateway-region assignment and region-scoped routing."""
-
-    def _star(self):
-        """Hub-and-spoke: backbone + 2 gateways + 4 devices + 1 site."""
-        net = Network(master_seed=0)
-        net.add_node("backbone", kind="router")
-        net.add_node("bank", kind="site")
-        net.add_duplex_link("bank", "backbone", spec(latency=0.05))
-        for g in range(2):
-            net.add_node(f"gw-{g}", kind="gateway")
-            net.add_duplex_link(f"gw-{g}", "backbone", spec(latency=0.02))
-        for i in range(4):
-            net.add_node(f"dev-{i}", kind="device")
-            net.add_duplex_link(f"dev-{i}", "backbone", spec(latency=0.1))
-        return net
-
-    def _assign(self, net, regions=2):
-        for g in range(2):
-            net.assign_region(f"gw-{g}", g % regions)
-        for i in range(4):
-            net.assign_region(f"dev-{i}", i % regions)
-
-    def test_assignment_validation(self):
-        net = self._star()
-        with pytest.raises(KeyError):
-            net.assign_region("nope", 0)
-        with pytest.raises(ValueError):
-            net.assign_region("dev-0", -1)
-        assert net.region_of("dev-0") is None
-        net.assign_region("dev-0", 3)
-        assert net.region_of("dev-0") == 3
-        assert net.region_of("backbone") is None  # infrastructure
-
-    def test_region_routes_match_full_graph(self):
-        """Region-scoped routing returns the same paths the full graph
-        would — for same-region, infra, and cross-region endpoints."""
-        plain = self._star()
-        regioned = self._star()
-        self._assign(regioned)
-        pairs = (
-            ("dev-0", "gw-0"),      # same region
-            ("dev-1", "gw-1"),      # same region
-            ("dev-0", "bank"),      # region <-> infrastructure
-            ("bank", "dev-3"),      # infrastructure <-> region
-            ("dev-0", "dev-1"),     # cross-region (full-graph fallback)
-            ("gw-0", "gw-1"),       # cross-region gateways
-            ("bank", "backbone"),   # infra <-> infra
-        )
-        for src, dst in pairs:
-            assert regioned.route(src, dst) == plain.route(src, dst), (src, dst)
-
-    def test_route_cache_invalidated_by_assignment(self):
-        net = self._star()
-        before = net.route("dev-0", "gw-0")
-        self._assign(net)
-        assert net.route("dev-0", "gw-0") == before
-
-    def test_assignment_turns_on_region_routing(self):
-        """Assignments are what switch region routing on: a same-region
-        route is served from the region subgraph, which the unassigned
-        network never builds."""
-        net = self._star()
-        net.route("dev-0", "gw-0")
-        assert net._region_graphs is None
-        self._assign(net)
-        net.route("dev-0", "gw-0")
-        assert sorted(net._region_graphs) == [0, 1]
-        assert "gw-1" not in net._region_graphs[0]
-
-    def test_cross_region_datagram_delivered(self):
-        net = self._star()
-        self._assign(net)
-        net.send_datagram("dev-0", "gw-1", payload="x")  # region 0 -> 1
-        net.sim.run()
-        assert len(net.node("gw-1").datagrams.items) == 1
-
-
 def assert_routes_match_networkx(net):
     """Every ordered node pair routes as networkx's weighted shortest path;
     where networkx finds none, ``route`` raises NoRouteError naming both
@@ -422,3 +348,62 @@ class TestRoutePins:
         dgram = net.sim.run(until=net.sim.process(consumer()))
         assert (dgram.src, dgram.payload) == ("dev-0", "x")
         assert net.sim.now > 0
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError instead of hanging: a leaf walk that misses a
+    closed loop of single links would go round it forever."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"routing ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@st.composite
+def leafy_networks(draw):
+    """``(nodes, links, down)``: a random tree plus extra one-way links,
+    leaves hung off it (or off other leaves) by single duplex links, and a
+    random set of links down.  Link ``(a, b, k)`` weighs 2**-k with its own
+    k, so every path has a distinct length and every sum is exact: the
+    shortest path, when there is one, is unique."""
+    core = [f"c{i}" for i in range(draw(st.integers(1, 6)))]
+    pairs = []
+    for i in range(1, len(core)):
+        parent = core[draw(st.integers(0, i - 1))]
+        pairs += [(core[i], parent), (parent, core[i])]
+    extras = st.tuples(st.sampled_from(core), st.sampled_from(core))
+    for a, b in draw(st.lists(extras, max_size=6)):
+        if a != b and (a, b) not in pairs:
+            pairs.append((a, b))
+    nodes = list(core)
+    for i in range(draw(st.integers(0, 6))):
+        anchor = draw(st.sampled_from(nodes))
+        nodes.append(f"l{i}")
+        pairs += [(f"l{i}", anchor), (anchor, f"l{i}")]
+    exponents = draw(st.permutations(range(1, len(pairs) + 1)))
+    links = [(a, b, k) for (a, b), k in zip(pairs, exponents)]
+    down = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return nodes, links, down
+
+
+@settings(max_examples=300, deadline=None)
+@given(leafy_networks())
+def test_leaf_routes_match_unique_shortest_paths(world):
+    nodes, links, down = world
+    net = Network()
+    for node in nodes:
+        net.add_node(node)
+    for a, b, k in links:
+        net.add_link(a, b, spec(latency=2.0**-k))
+    for a, b in down:
+        net.set_link_state(a, b, up=False)
+    with time_limit(2.0):
+        assert_routes_match_networkx(net)
