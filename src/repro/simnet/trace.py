@@ -83,6 +83,9 @@ class Tracer:
         self.counters: dict[str, int] = defaultdict(int)
         self._series: dict[str, _Series] = defaultdict(_Series)
         self.connections: list[ConnectionRecord] = []
+        # The same records split by initiator, in ledger order, so the
+        # per-device queries below skip everyone else's connections.
+        self._connections_by: dict[str, list[ConnectionRecord]] = defaultdict(list)
         self.faults: list[FaultRecord] = []
         self._next_conn_id = 0
         # Instrument caches: count()/observe() run per message/event, and a
@@ -145,6 +148,7 @@ class Tracer:
         )
         self._next_conn_id += 1
         self.connections.append(record)
+        self._connections_by[initiator].append(record)
         return record
 
     def close_connection(self, record: ConnectionRecord) -> None:
@@ -160,28 +164,26 @@ class Tracer:
         connections are charged up to the current simulated time.
         """
         total = 0.0
-        for rec in self.connections:
-            if rec.initiator != initiator or rec.opened_at < since:
-                continue
-            total += rec.duration(now=self.sim.now)
+        for rec in self._connections_by.get(initiator, ()):
+            if rec.opened_at >= since:
+                total += rec.duration(now=self.sim.now)
         return total
 
     def connection_count(self, initiator: str, since: float = 0.0) -> int:
         """Number of connections ``initiator`` opened at/after ``since``."""
         return sum(
             1
-            for rec in self.connections
-            if rec.initiator == initiator and rec.opened_at >= since
+            for rec in self._connections_by.get(initiator, ())
+            if rec.opened_at >= since
         )
 
     def bytes_transferred(self, initiator: str, since: float = 0.0) -> tuple[int, int]:
         """``(sent, received)`` bytes over connections opened by ``initiator``."""
         sent = received = 0
-        for rec in self.connections:
-            if rec.initiator != initiator or rec.opened_at < since:
-                continue
-            sent += rec.bytes_sent
-            received += rec.bytes_received
+        for rec in self._connections_by.get(initiator, ()):
+            if rec.opened_at >= since:
+                sent += rec.bytes_sent
+                received += rec.bytes_received
         return sent, received
 
     def finalize(self) -> int:
@@ -207,6 +209,7 @@ class Tracer:
         self.counters.clear()
         self._series.clear()
         self.connections.clear()
+        self._connections_by.clear()
         self.faults.clear()
         self._counter_cache.clear()
         self._hist_cache.clear()

@@ -1,6 +1,9 @@
 """Tests for the tracer (counters/series/ledger edge cases) and the MAS
 remote-messaging path."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.mas import (
@@ -12,6 +15,7 @@ from repro.mas import (
     Stop,
 )
 from repro.simnet import LinkSpec, Network
+from repro.simnet.trace import Tracer
 
 
 class TestTracer:
@@ -64,6 +68,54 @@ class TestTracer:
         other = net.tracer.open_connection("z", "b")
         other.bytes_sent = 999
         assert net.tracer.bytes_transferred("a") == (100, 50)
+
+    def test_ledger_queries_match_full_scan(self):
+        """The per-initiator queries answer exactly what a scan of the whole
+        ledger does (float sums bit for bit), with ``since`` cut-offs and
+        still-open connections in the mix, before and after a reset."""
+        rng = random.Random(7)
+        clock = SimpleNamespace(now=0.0)
+        tracer = Tracer(clock)
+        initiators = ["a", "b", "c", "d"]
+
+        def full_scan(initiator, since):
+            recs = [
+                r for r in tracer.connections
+                if r.initiator == initiator and r.opened_at >= since
+            ]
+            total = 0.0
+            for r in recs:
+                total += r.duration(now=clock.now)
+            sent = sum(r.bytes_sent for r in recs)
+            received = sum(r.bytes_received for r in recs)
+            return total, len(recs), (sent, received)
+
+        for _ in range(2):
+            still_open = []
+            for _ in range(400):
+                clock.now += rng.expovariate(10.0)
+                if still_open and rng.random() < 0.45:
+                    rec = still_open.pop(rng.randrange(len(still_open)))
+                    tracer.close_connection(rec)
+                else:
+                    rec = tracer.open_connection(rng.choice(initiators), "peer")
+                    rec.bytes_sent = rng.randrange(10_000)
+                    rec.bytes_received = rng.randrange(10_000)
+                    still_open.append(rec)
+            assert still_open
+            cutoffs = [0.0, clock.now / 2, clock.now + 1.0]
+            cutoffs += [rng.choice(tracer.connections).opened_at for _ in range(5)]
+            for initiator in initiators + ["nobody"]:
+                for since in cutoffs:
+                    got = (
+                        tracer.connection_time(initiator, since),
+                        tracer.connection_count(initiator, since),
+                        tracer.bytes_transferred(initiator, since),
+                    )
+                    assert got == full_scan(initiator, since), (initiator, since)
+            tracer.reset()
+            assert tracer.connection_count("a") == 0
+            assert tracer.connection_time("a") == 0.0
 
 
 class Homebody(MobileAgent):
