@@ -5,6 +5,16 @@ with the gateway's *public* key; the gateway decrypts with its private key.
 This module provides the asymmetric primitive; :mod:`repro.crypto.envelope`
 builds the hybrid scheme actually used on PI payloads.
 
+Key generation draws its candidates and its Miller–Rabin witnesses from one
+seeded ``random.Random``, so a key depends on every candidate's verdict
+*and* on how many witnesses each candidate drew.  ``is_probable_prime``
+returns the same verdict and makes the same draws as the plain
+``rounds``-round Miller–Rabin loop on every input except a Baillie–PSW
+pseudoprime (none is known, and none exists below 2^64): after the first
+round it settles the candidate with a Baillie–PSW check and, on a pass,
+draws the remaining witnesses without testing them.  Seeded keys are
+therefore the ones the plain loop produces.
+
 This is a **protocol model**, not production cryptography: default keys are
 512 bits, padding is a simple random prefix (not OAEP), and no blinding is
 performed.  That is faithful to the paper's scope ("implementing a
@@ -15,6 +25,7 @@ pays.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,7 +49,17 @@ _DEFAULT_E = 65537
 
 
 def is_probable_prime(n: int, rounds: int = 40, rng: random.Random | None = None) -> bool:
-    """Miller–Rabin primality test."""
+    """Miller–Rabin primality test with ``rounds`` random witnesses.
+
+    Contract: the verdict, and the witnesses drawn from ``rng``, are those
+    of running all ``rounds`` rounds (a composite stops drawing at its
+    first witness of compositeness), on every ``n`` except a Baillie–PSW
+    pseudoprime that passes the first round, which is called prime.  Once
+    the first round passes, a Baillie–PSW check (a strong base-2 round and
+    a strong Lucas test) decides: a prime never fails a round, so on a pass
+    the remaining ``rounds - 1`` witnesses are drawn and not tested; on a
+    fail the remaining rounds run as usual.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -50,24 +71,91 @@ def is_probable_prime(n: int, rounds: int = 40, rng: random.Random | None = None
     # test a pure function of its input (an unseeded Random() would make
     # repeat calls draw different witnesses, breaking run replayability).
     rng = rng or random.Random(n)
-    # Write n-1 = d * 2^r with d odd.
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for _ in range(rounds):
-        a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                break
-        else:
+    for i in range(rounds):
+        if not _strong_probable_prime(n, rng.randrange(2, n - 1)):
             return False
+        if i == 0 and _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n):
+            for _ in range(rounds - 1):
+                rng.randrange(2, n - 1)
+            return True
     return True
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """One Miller–Rabin round: is odd ``n`` a strong probable prime to base ``a``?"""
+    # Write n-1 = d * 2^r with d odd.
+    m = n - 1
+    r = (m & -m).bit_length() - 1
+    d = m >> r
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test of odd ``n`` > 2 with Selfridge's method A parameters."""
+    # No D has Jacobi symbol -1 modulo a square, so the search below would
+    # only end at a D sharing a factor with n: up to sqrt(n) steps.
+    if math.isqrt(n) ** 2 == n:
+        return False
+    # D = 5, -7, 9, -11, ... until (D/n) = -1; P = 1, Q = (1 - D) / 4.
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    # Write n+1 = d * 2^s with d odd; walk d's bits from the top computing
+    # U_k, V_k and Q^k (mod n), starting from U_1 = V_1 = P = 1.
+    m = n + 1
+    s = (m & -m).bit_length() - 1
+    d = m >> s
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        # k -> 2k: U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k.
+        U = U * V % n
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if bit == "1":
+            # k -> k+1: U_k+1 = (U_k + V_k) / 2, V_k+1 = (D U_k + V_k) / 2.
+            U, V = (U + V) % n, (D * U + V) % n
+            if U & 1:
+                U += n
+            if V & 1:
+                V += n
+            U >>= 1
+            V >>= 1
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    # V_2k = V_k^2 - 2 Q^k for k = d*2, ..., d*2^(s-1).
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        if V == 0:
+            return True
+        Qk = Qk * Qk % n
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd positive ``n``."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
 
 
 def _random_prime(bits: int, rng: random.Random) -> int:
