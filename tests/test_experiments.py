@@ -5,6 +5,8 @@ sweeps so the suite stays fast; the full sweeps run from the benchmark
 harness / CLI.
 """
 
+import hashlib
+
 import pytest
 
 from repro.experiments.claims import (
@@ -243,3 +245,50 @@ class TestDiversityExperiment:
         out = capsys.readouterr().out
         assert "Diversity day: 30 devices" in out
         assert (tmp_path / "diversity.csv").exists()
+
+
+#: experiment -> sha256 of (its CSV file, the --trace JSONL, stdout without
+#: the [csv]/[trace] path lines) for ``runner <name> --max-n 6`` at seed 0.
+#: Pinned on Python 3.11: a digest that differs on another interpreter
+#: version is a determinism finding, not a reason to re-pin.
+CAPSTONE_GOLDEN = {
+    "overload": (
+        "62259802d79e5c57cbe62410cdfc311abbcc5a71a6f05c592e54e63c5d26f216",
+        "67342c0b05ece81261d7e4941bef62b81d0cc39e87e0f526e7edca10abfd92fa",
+        "1e9ed284a2f2032699ab41ed7f3bffe3b1b2ad36bd816f691d4ba2f76131aa38",
+    ),
+    "fleet": (
+        "ad128d6fa9fec6281d85438a7cc319005530f2a1e3cbca44b2cc128faa8164bb",
+        "749e29f58d71b0ef07cd3db39a864e466610076dfa40471f5b1bd703e3e182d8",
+        "88b25f9ac6cc2a027d1ebfc1d3079ff93b83c466596b11822f80515e61f804fb",
+    ),
+    "churn": (
+        "3b8dc07dc93f112f78063d742655483448e03286add337e3e078a99b113293da",
+        "34eb7faa2423750cb809f01221d6c3ce57c856d2513ca6f500bfecacb61b4167",
+        "dedfcabcc998a6a8ef3701d0147775e26fa8e48b03998ed1def4e1d72b664731",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPSTONE_GOLDEN))
+def test_capstone_cli_matches_golden(name, tmp_path, capsys):
+    """The overload, fleet and churn sweeps at populations up to 6: the
+    table, the CSV and the trace stay byte for byte."""
+    from repro.experiments.runner import main
+
+    trace = tmp_path / "t.jsonl"
+    assert main([name, "--max-n", "6", "--csv", str(tmp_path),
+                 "--trace", str(trace)]) == 0
+    out = "".join(
+        line for line in capsys.readouterr().out.splitlines(True)
+        if not line.startswith(("[csv]", "[trace]"))
+    )
+    digests = tuple(
+        hashlib.sha256(data).hexdigest()
+        for data in (
+            (tmp_path / f"{name}.csv").read_bytes(),
+            trace.read_bytes(),
+            out.encode(),
+        )
+    )
+    assert digests == CAPSTONE_GOLDEN[name]
