@@ -186,6 +186,10 @@ class Connection:
         if not self._open:
             return
         self._open = False
+        if self.record.truncated:
+            # The end-of-run close-out already stamped the record; this is
+            # a suspended transfer's socket closing as it is collected.
+            return
         self.network.tracer.close_connection(self.record)
         self.network.tracer.count("connections_closed")
         # EOF to both inboxes so blocked receivers wake up.

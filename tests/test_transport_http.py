@@ -136,6 +136,28 @@ class TestTransport:
         # 'since' filtering excludes earlier connections
         assert net.tracer.connection_time("client", since=net.sim.now + 1) == 0.0
 
+    def test_close_after_finalize_keeps_truncated_record(self):
+        """A transfer still suspended when the run ends closes its socket
+        only when the generator is collected, after the end-of-run
+        close-out stamped the record: that late close changes nothing."""
+        net = make_net()
+        net.node("server").listen(1, lambda conn: None)
+
+        def client():
+            return (yield from connect(net, "client", "server", 1))
+
+        proc = net.sim.process(client())
+        sock = net.sim.run(until=proc)
+        assert net.tracer.finalize() == 1
+        rec = sock.connection.record
+        closed_at = rec.closed_at
+        counters = dict(net.tracer.counters)
+        net.sim.run(until=net.sim.now + 1.0)
+        sock.close()
+        assert not sock.connection.is_open
+        assert (rec.closed_at, rec.truncated) == (closed_at, True)
+        assert dict(net.tracer.counters) == counters
+
 
 class TestHttp:
     def test_simple_route(self):
