@@ -24,11 +24,12 @@ def test_overload_sweep(benchmark, emit):
         iterations=1,
     )
     emit(sweep.render())
-    worst_protected = sweep.protected[-1]
-    worst_unprotected = sweep.unprotected[-1]
+    protected = sweep.runs["protected"]
+    worst_protected = protected[-1]
+    worst_unprotected = sweep.runs["unprotected"][-1]
     # Protection never loses a task and never dispatches a duplicate.
-    assert all(r.completion_rate == 1.0 for r in sweep.protected)
-    assert all(r.duplicate_dispatches == 0 for r in sweep.protected)
+    assert all(r.completion_rate == 1.0 for r in protected)
+    assert all(r.duplicate_dispatches == 0 for r in protected)
     # It visibly worked for its living: sheds and dedup hits happened.
     assert worst_protected.sheds > 0
     assert worst_protected.dedup_hits > 0

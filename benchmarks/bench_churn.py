@@ -1,18 +1,14 @@
-"""Membership-churn benchmark and regression gate.
+"""Membership-churn regression gate.
 
-Two jobs in one file:
-
-* ``test_churn_*`` — pytest-collectable gates over the churn experiment:
-  same-seed determinism (the full replay key — outcomes, counters,
-  ``events_processed`` — identical across replays), 100% completion with
-  **zero duplicate dispatches** through a rolling restart of every fleet
-  member, collect-anywhere preserved across the roll, the lifecycle
-  provably exercised (three drains completed, state migrated, the epoch
-  advanced, at least one upload refused with a successor hint), and a
-  bounded makespan overhead versus the no-churn control in **simulated**
-  time.
-* ``python benchmarks/bench_churn.py`` — standalone CLI that runs the same
-  gates without pytest (used by the CI benchmark job).
+``test_churn_gate`` checks the churn experiment: same-seed determinism (a
+replay equal in every counter, outcome, event count and ``sim_end``), 100%
+completion with **zero duplicate dispatches** through a rolling restart of
+every fleet member, collect-anywhere preserved across the roll, the
+lifecycle provably exercised (three drains completed, state migrated, the
+epoch advanced, at least one upload refused with a successor hint), and a
+bounded makespan overhead versus the no-churn control in **simulated**
+time.  Run it with
+``python -m pytest -q --benchmark-disable benchmarks/bench_churn.py``.
 
 Every gate is self-relative and expressed in simulated seconds, so it is
 exactly reproducible on any machine.  The churn run's makespan exceeds the
@@ -24,13 +20,7 @@ retries may stretch it further.
 
 from __future__ import annotations
 
-import json
-import os
-import sys
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-from repro.experiments.churn import GATEWAYS, run_churn  # noqa: E402
+from repro.experiments.fleet import GATEWAYS, run_churn
 
 #: Population used for the gates — two full rotations of the three-gateway
 #: upload/retry/collect pattern, spread across the whole rolling restart.
@@ -53,9 +43,8 @@ def run_gate(seed: int = 0, population: int = GATE_POPULATION) -> dict:
 
     # Determinism gate: drains, migrations, suspicion probes and rejoin
     # rebalancing must not leak nondeterminism into the timeline.  The
-    # replay key covers outcomes and every lifecycle counter, not just the
-    # event count.
-    assert churn_run.replay_key() == replay.replay_key(), (
+    # replay must match in every counter, outcome, event count and sim_end.
+    assert churn_run == replay, (
         "churn replay drifted — nondeterminism in the membership lifecycle"
     )
 
@@ -119,16 +108,6 @@ def run_gate(seed: int = 0, population: int = GATE_POPULATION) -> dict:
     }
 
 
-# -- pytest entry points -------------------------------------------------------
-
-
-def test_churn_deterministic_replay():
-    """Same seed + population → identical churn run, twice."""
-    a = run_churn(seed=0, n_devices=GATE_POPULATION, churn=True)
-    b = run_churn(seed=0, n_devices=GATE_POPULATION, churn=True)
-    assert a.replay_key() == b.replay_key()
-
-
 def test_churn_gate(emit):
     report = run_gate()
     emit(
@@ -137,11 +116,3 @@ def test_churn_gate(emit):
         f"{report['migrated_out']} migrated, epoch {report['final_epoch']}, "
         f"overhead {report['overhead']:.2f}x"
     )
-
-
-# -- standalone CLI (CI) -------------------------------------------------------
-
-if __name__ == "__main__":
-    report = run_gate()
-    print(json.dumps(report, indent=2, sort_keys=True))
-    print("churn gate: OK")

@@ -1,15 +1,12 @@
-"""Fleet-tier benchmark and regression gate.
+"""Fleet-tier regression gate.
 
-Two jobs in one file:
-
-* ``test_fleet_*`` — pytest-collectable gates over the fleet experiment:
-  same-seed determinism (``events_processed`` equality across replays),
-  the exactly-once contract (zero duplicate dispatches in fleet mode, a
-  *measurable* duplicate count in baseline mode — the comparison must not
-  be vacuous), collect-anywhere completeness, and a bounded forwarding
-  overhead in **simulated** time.
-* ``python benchmarks/bench_fleet.py`` — standalone CLI that runs the same
-  gates without pytest (used by the CI benchmark job).
+``test_fleet_gate`` checks the fleet experiment: same-seed determinism (a
+replay equal in every counter, outcome, event count and ``sim_end``), the
+exactly-once contract (zero duplicate dispatches in fleet mode, a
+*measurable* duplicate count in baseline mode — the comparison must not be
+vacuous), collect-anywhere completeness, and a bounded forwarding overhead
+in **simulated** time.  Run it with
+``python -m pytest -q --benchmark-disable benchmarks/bench_fleet.py``.
 
 Unlike ``bench_scale``'s committed wall-clock baseline, every gate here is
 self-relative and expressed in simulated seconds, so it is exactly
@@ -21,13 +18,7 @@ most ``MAX_OVERHEAD``.
 
 from __future__ import annotations
 
-import json
-import os
-import sys
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-from repro.experiments.fleet import run_fleet  # noqa: E402
+from repro.experiments.fleet import run_fleet
 
 #: Population used for the gates — the full three-gateway rotation twice.
 GATE_POPULATION = 6
@@ -48,13 +39,12 @@ def run_gate(seed: int = 0, population: int = GATE_POPULATION) -> dict:
     replay = run_fleet(seed=seed, n_devices=population, enabled=True)
 
     # Determinism gate: the fleet tier (sqlite stores, claim RPCs,
-    # reconcilers) must not leak nondeterminism into the timeline.
-    assert fleet_run.events_processed == replay.events_processed, (
+    # reconcilers) must not leak nondeterminism into the timeline.  The
+    # replay must match in every counter, outcome, event count and sim_end.
+    assert fleet_run == replay, (
         f"fleet replay drifted: {fleet_run.events_processed} vs "
         f"{replay.events_processed} events — nondeterminism in the tier"
     )
-    assert fleet_run.sim_end == replay.sim_end
-    assert fleet_run.dispatches == replay.dispatches
 
     # Exactly-once gate, both directions: the fleet must not duplicate, and
     # the baseline must measurably duplicate (otherwise the workload no
@@ -95,20 +85,6 @@ def run_gate(seed: int = 0, population: int = GATE_POPULATION) -> dict:
     }
 
 
-# -- pytest entry points -------------------------------------------------------
-
-
-def test_fleet_deterministic_replay():
-    """Same seed + population → identical fleet run, twice."""
-    a = run_fleet(seed=0, n_devices=GATE_POPULATION, enabled=True)
-    b = run_fleet(seed=0, n_devices=GATE_POPULATION, enabled=True)
-    assert a.events_processed == b.events_processed
-    assert a.sim_end == b.sim_end
-    assert a.claims_bound == b.claims_bound
-    assert a.supersedes == b.supersedes
-    assert a.completed == b.completed == GATE_POPULATION
-
-
 def test_fleet_gate(emit):
     report = run_gate()
     emit(
@@ -117,11 +93,3 @@ def test_fleet_gate(emit):
         f"baseline {report['baseline_duplicates']} dup, "
         f"overhead {report['overhead']:.2f}x"
     )
-
-
-# -- standalone CLI (CI) -------------------------------------------------------
-
-if __name__ == "__main__":
-    report = run_gate()
-    print(json.dumps(report, indent=2, sort_keys=True))
-    print("fleet gate: OK")

@@ -10,6 +10,9 @@
   injected fault schedule (completion rate, added connection time);
 * :mod:`~repro.experiments.overload` — dispatch storms through one
   under-provisioned gateway, protected (admission + dedup) vs not;
+* :mod:`~repro.experiments.fleet` — roamed retries across a gateway crash
+  and a rolling restart of the fleet, plus the world and the two-mode
+  population sweep these capstones and ``overload`` share;
 * :mod:`~repro.experiments.diversity` — a diurnal + flash-crowd day at
   1000+ devices over a three-gateway fleet, full application mix;
 * :mod:`~repro.experiments.runner` — the ``pdagent-experiments`` CLI.
@@ -33,7 +36,6 @@ from .diversity import (
 )
 from .overload import (
     OverloadRunResult,
-    OverloadSweepResult,
     overload_schedule,
     run_overload,
     run_overload_sweep,
@@ -64,7 +66,6 @@ __all__ = [
     "run_client_server_under_faults",
     "run_fault_comparison",
     "OverloadRunResult",
-    "OverloadSweepResult",
     "overload_schedule",
     "run_overload",
     "run_overload_sweep",

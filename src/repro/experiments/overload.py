@@ -30,52 +30,42 @@ duplicate count grow with the population.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
-from ..apps.ebanking import (
-    BankServiceAgent,
-    EBankingAgent,
-    ebanking_service_code,
-    make_transactions,
-)
-from ..core import Deployment, DeploymentBuilder, PDAgentConfig
+from ..core import PDAgentConfig
 from ..core.errors import PDAgentError
-from ..device import link_profile
-from ..mas import Stop
 from ..simnet.faults import FaultSchedule, LinkDown
 from ..telemetry.exporters import TraceCollector
-from .report import format_table
+from .fleet import (
+    ACCESS_POINT,
+    PopulationSweep,
+    SweepLayout,
+    build_world,
+    count_dispatches,
+    deploy_ebanking,
+    population_sweep,
+)
 
 __all__ = [
     "OverloadRunResult",
-    "OverloadSweepResult",
     "overload_config",
     "overload_schedule",
     "percentile",
     "run_overload",
     "run_overload_sweep",
-    "main",
 ]
 
+#: The one gateway every device dispatches through.
 GATEWAY = "gw-0"
-BANKS = ("bank-a", "bank-b")
 
-#: All PDAs share one access-point router; cutting its backbone uplink
-#: severs every device<->gateway path at once while the wired side — the
-#: gateway, the banks, the agents already touring — keeps working.  That
-#: isolates the nasty failure: work done, response lost, device retries.
-ACCESS_POINT = "ap"
-
-#: Device populations swept (CI smoke caps this via ``--max-n``).
+#: Device populations swept (the CLI caps this via ``--max-n``).
 DEFAULT_POPULATIONS = (2, 4, 8, 12)
 
 #: Device ``k`` submits its task at ``k * STAGGER_S`` — close enough to
 #: pile up on the single dispatch worker, spread enough that arrival order
 #: is deterministic.
 STAGGER_S = 0.15
-N_TXNS = 1
 
 #: Application-level retry: on a failed deployment the user resubmits the
 #: *same task* (same idempotency key) a little later.
@@ -122,6 +112,11 @@ def overload_schedule() -> FaultSchedule:
     second window catches the application-level resubmissions (~10 s after
     their failed deploys) for a second storm.  Times are offsets from
     workload start (:meth:`FaultSchedule.install` time).
+
+    Cutting the access point's uplink severs every device<->gateway path
+    at once while the wired side — the gateway, the banks, the agents
+    already touring — keeps working.  That isolates the nasty failure:
+    work done, response lost, device retries.
     """
     schedule = FaultSchedule()
     schedule.add(LinkDown(ACCESS_POINT, "backbone", at=0.8, duration=5.0))
@@ -169,45 +164,10 @@ class OverloadRunResult:
     def p99(self) -> float:
         return percentile(self.latencies, 0.99)
 
-
-def _build(seed: int, n_devices: int, protected: bool) -> Deployment:
-    builder = DeploymentBuilder(
-        master_seed=seed, config=overload_config(protected)
-    )
-    builder.add_central("central")
-    builder.add_gateway(GATEWAY)
-    for bank in BANKS:
-        builder.add_site(bank, services=[BankServiceAgent(bank_name=bank)])
-    lan = link_profile("LAN")
-    builder.network.add_node(ACCESS_POINT, kind="router")
-    builder.network.add_link(ACCESS_POINT, "backbone", lan)
-    builder.network.add_link("backbone", ACCESS_POINT, lan)
-    for k in range(n_devices):
-        builder.add_device(
-            f"pda-{k}", profile="PDA", wireless="WLAN", attach_to=ACCESS_POINT
-        )
-    builder.register_agent_class(EBankingAgent)
-    builder.publish(ebanking_service_code())
-    deployment = builder.build()
-    _prewarm(deployment, n_devices)
-    return deployment
-
-
-def _prewarm(deployment: Deployment, n_devices: int) -> None:
-    """Address list + subscription per device, before the measured storm."""
-    sim = deployment.sim
-
-    def setup(k: int) -> Generator:
-        platform = deployment.platform(f"pda-{k}")
-        yield from platform.selector.refresh_list()
-        yield from platform.subscribe("ebanking", gateway=GATEWAY)
-        return True
-
-    procs = [
-        sim.process(setup(k), name=f"overload-prewarm:{k}")
-        for k in range(n_devices)
-    ]
-    sim.run(until=sim.all_of(procs))
+    @property
+    def device_retries(self) -> int:
+        """Transport retries plus load-shed waits, over all devices."""
+        return self.transport_retries + self.shed_waits
 
 
 def run_overload(
@@ -227,13 +187,13 @@ def run_overload(
     collects with status ``"completed"``.
     """
     mode = "protected" if protected else "unprotected"
-    deployment = _build(seed, n_devices, protected)
+    deployment = build_world(
+        seed, n_devices, overload_config(protected), gateways=(GATEWAY,)
+    )
     sim = deployment.sim
     network = deployment.network
     if schedule is not None and len(schedule):
         schedule.install(network)
-    txns = make_transactions(list(BANKS), N_TXNS)
-    stops = [Stop(bank, task="banking") for bank in BANKS]
     outcomes: list[dict[str, Any]] = []
     latencies: list[float] = []
 
@@ -247,13 +207,7 @@ def run_overload(
         handle = None
         for attempt in range(APP_RETRY_ATTEMPTS):
             try:
-                handle = yield from platform.deploy(
-                    "ebanking",
-                    {"transactions": txns},
-                    stops=stops,
-                    gateway=GATEWAY,
-                    task_id=task_id,
-                )
+                handle = yield from deploy_ebanking(platform, GATEWAY, task_id)
             except PDAgentError as exc:
                 out["detail"] = f"deploy attempt {attempt + 1} failed: {exc}"
                 yield sim.timeout(APP_RETRY_WAIT_S)
@@ -290,8 +244,7 @@ def run_overload(
     if collector is not None:
         collector.add_run(label or f"overload/{mode}-{n_devices}", network)
     counters = network.tracer.counters
-    dispatched = [t for t in deployment.gateway(GATEWAY).tickets() if t.agent_id]
-    per_task = Counter(t.task_id for t in dispatched if t.task_id)
+    dispatches, duplicates = count_dispatches(deployment, (GATEWAY,))
     platforms = [deployment.platform(f"pda-{k}") for k in range(n_devices)]
     return OverloadRunResult(
         mode=mode,
@@ -299,8 +252,8 @@ def run_overload(
         n_devices=n_devices,
         completed=sum(1 for o in outcomes if o["ok"]),
         latencies=sorted(latencies),
-        dispatches=len(dispatched),
-        duplicate_dispatches=sum(c - 1 for c in per_task.values() if c > 1),
+        dispatches=dispatches,
+        duplicate_dispatches=duplicates,
         sheds=counters.get("gateway.shed", 0),
         dedup_hits=counters.get("gateway.dedup_hit", 0),
         shed_waits=sum(p.netmanager.shed_waits for p in platforms),
@@ -309,124 +262,48 @@ def run_overload(
     )
 
 
-@dataclass
-class OverloadSweepResult:
-    """Protected vs unprotected across the population sweep (same seeds)."""
-
-    seed: int
-    populations: tuple[int, ...]
-    protected: list[OverloadRunResult]
-    unprotected: list[OverloadRunResult]
-
-    def pairs(self) -> list[tuple[OverloadRunResult, OverloadRunResult]]:
-        return list(zip(self.protected, self.unprotected))
-
-    def rows(self) -> list[list]:
-        rows = []
-        for prot, unprot in self.pairs():
-            for run in (prot, unprot):
-                rows.append(
-                    [
-                        run.n_devices,
-                        run.mode,
-                        f"{run.completed}/{run.n_devices}",
-                        round(run.p50, 2),
-                        round(run.p99, 2),
-                        run.dispatches,
-                        run.duplicate_dispatches,
-                        run.sheds,
-                        run.dedup_hits,
-                        run.transport_retries + run.shed_waits,
-                    ]
-                )
-        return rows
-
-    def render(self) -> str:
-        table = format_table(
-            [
-                "devices",
-                "mode",
-                "completed",
-                "p50 (s)",
-                "p99 (s)",
-                "dispatches",
-                "dup dispatches",
-                "sheds",
-                "dedup hits",
-                "device retries",
-            ],
-            self.rows(),
-            title=(
-                "Overload: e-banking dispatch storm through one "
-                "single-worker gateway under uplink outages"
-            ),
-        )
-        worst = self.pairs()[-1]
-        extra = (
-            f"At n={worst[0].n_devices}: protected p99 "
-            f"{worst[0].p99:.2f}s with {worst[0].duplicate_dispatches} "
-            f"duplicate dispatch(es); unprotected p99 {worst[1].p99:.2f}s "
-            f"with {worst[1].duplicate_dispatches}"
-        )
-        return f"{table}\n{extra}"
-
-    def to_csv(self) -> str:
-        lines = [
-            "devices,mode,completed,completion_rate,p50_s,p99_s,"
-            "dispatches,duplicate_dispatches,sheds,dedup_hits,"
-            "shed_waits,transport_retries"
-        ]
-        for prot, unprot in self.pairs():
-            for run in (prot, unprot):
-                lines.append(
-                    f"{run.n_devices},{run.mode},{run.completed},"
-                    f"{run.completion_rate!r},{run.p50!r},{run.p99!r},"
-                    f"{run.dispatches},{run.duplicate_dispatches},"
-                    f"{run.sheds},{run.dedup_hits},{run.shed_waits},"
-                    f"{run.transport_retries}"
-                )
-        return "\n".join(lines) + "\n"
+OVERLOAD_LAYOUT = SweepLayout(
+    title=(
+        "Overload: e-banking dispatch storm through one "
+        "single-worker gateway under uplink outages"
+    ),
+    table={
+        "p50 (s)": "p50",
+        "p99 (s)": "p99",
+        "dispatches": "dispatches",
+        "dup dispatches": "duplicate_dispatches",
+        "sheds": "sheds",
+        "dedup hits": "dedup_hits",
+        "device retries": "device_retries",
+    },
+    csv={
+        "p50_s": "p50",
+        "p99_s": "p99",
+        "dispatches": "dispatches",
+        "duplicate_dispatches": "duplicate_dispatches",
+        "sheds": "sheds",
+        "dedup_hits": "dedup_hits",
+        "shed_waits": "shed_waits",
+        "transport_retries": "transport_retries",
+    },
+    headline=lambda prot, unprot: (
+        f"At n={prot.n_devices}: protected p99 {prot.p99:.2f}s with "
+        f"{prot.duplicate_dispatches} duplicate dispatch(es); unprotected "
+        f"p99 {unprot.p99:.2f}s with {unprot.duplicate_dispatches}"
+    ),
+)
 
 
 def run_overload_sweep(
     seed: int = 0,
     populations: tuple[int, ...] = DEFAULT_POPULATIONS,
     collector: Optional[TraceCollector] = None,
-) -> OverloadSweepResult:
-    """Both modes per population, fresh schedule each run, same seeds."""
-    protected, unprotected = [], []
-    for n in populations:
-        protected.append(
-            run_overload(
-                seed, n, protected=True, schedule=overload_schedule(),
-                collector=collector, label=f"overload/protected-{n}",
-            )
+) -> PopulationSweep:
+    """Protected vs unprotected per population, fresh schedule each run."""
+
+    def run(seed: int, n: int, protected: bool, collector) -> OverloadRunResult:
+        return run_overload(
+            seed, n, protected, schedule=overload_schedule(), collector=collector
         )
-        unprotected.append(
-            run_overload(
-                seed, n, protected=False, schedule=overload_schedule(),
-                collector=collector, label=f"overload/unprotected-{n}",
-            )
-        )
-    return OverloadSweepResult(
-        seed=seed,
-        populations=tuple(populations),
-        protected=protected,
-        unprotected=unprotected,
-    )
 
-
-def main(
-    seed: int = 0,
-    populations: tuple[int, ...] = DEFAULT_POPULATIONS,
-    collector: Optional[TraceCollector] = None,
-) -> OverloadSweepResult:
-    result = run_overload_sweep(
-        seed=seed, populations=populations, collector=collector
-    )
-    print(result.render())
-    return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    return population_sweep(run, OVERLOAD_LAYOUT, seed, populations, collector)

@@ -26,9 +26,10 @@ fault/connection ledgers, metric series) of every traced experiment run
 into PATH — newline-delimited JSON by default, or the Chrome trace_event
 format (open in Perfetto / ``chrome://tracing``) when PATH ends in
 ``.json`` or ``--trace-format chrome`` is given.  Inspect the JSONL with
-``pdagent-trace summary PATH``.  Tracing covers fig12, fig13, faults and
-overload (the figure-producing simulations); claims/ablations/extensions
-run many heterogeneous micro-benchmarks and are not traced.
+``pdagent-trace summary PATH``.  Tracing covers fig12, fig13, faults,
+overload, fleet, streaming, churn and diversity (the figure-producing
+simulations); claims/ablations/extensions run many heterogeneous
+micro-benchmarks and are not traced.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import sys
 from ..telemetry.exporters import TraceCollector
 from . import (
     ablations,
-    churn,
     claims,
     diversity,
     extensions,
@@ -55,12 +55,6 @@ from . import (
 
 __all__ = ["main"]
 
-#: Experiments whose runs are registered with the --trace collector.
-_TRACED = (
-    "fig12", "fig13", "faults", "overload", "fleet", "streaming", "churn",
-    "diversity",
-)
-
 
 def _ns(args) -> tuple[int, ...]:
     """Transaction-count sweep, capped by --max-n (CI smoke runs)."""
@@ -68,100 +62,61 @@ def _ns(args) -> tuple[int, ...]:
     return tuple(range(1, upper + 1))
 
 
+def _populations(args, populations: tuple[int, ...]) -> tuple[int, ...]:
+    """Device-population sweep; --max-n caps the largest population."""
+    if not args.max_n:
+        return populations
+    return tuple(n for n in populations if n <= args.max_n) or (args.max_n,)
+
+
+def _write_csv(args, name: str, text: str) -> None:
+    if args.csv:
+        path = os.path.join(args.csv, f"{name}.csv")
+        with open(path, "w") as fh:
+            fh.write(text)
+        print(f"[csv] wrote {path}")
+
+
 def _run_fig12(args, collector=None):
     result = fig12.main(seed=args.seed, ns=_ns(args), collector=collector)
-    if args.csv:
-        path = os.path.join(args.csv, "fig12.csv")
-        with open(path, "w") as fh:
-            fh.write(result.to_csv())
-        print(f"[csv] wrote {path}")
+    _write_csv(args, "fig12", result.to_csv())
     return result
 
 
 def _run_fig13(args, collector=None):
     result = fig13.main(base_seed=args.seed + 100, ns=_ns(args), collector=collector)
-    if args.csv:
-        path = os.path.join(args.csv, "fig13.csv")
-        with open(path, "w") as fh:
-            fh.write(result.to_csv())
-        print(f"[csv] wrote {path}")
+    _write_csv(args, "fig13", result.to_csv())
     return result
 
 
-def _run_overload(args, collector=None):
-    """Device-population sweep; --max-n caps the largest population."""
-    populations = overload.DEFAULT_POPULATIONS
-    if args.max_n:
-        populations = tuple(n for n in populations if n <= args.max_n) or (
-            args.max_n,
+def _population_sweep(name: str, run_sweep, populations: tuple[int, ...]):
+    """The CLI entry of a two-mode population sweep (overload, fleet, churn)."""
+
+    def run(args, collector=None):
+        result = run_sweep(
+            seed=args.seed,
+            populations=_populations(args, populations),
+            collector=collector,
         )
-    result = overload.main(
-        seed=args.seed, populations=populations, collector=collector
-    )
-    if args.csv:
-        path = os.path.join(args.csv, "overload.csv")
-        with open(path, "w") as fh:
-            fh.write(result.to_csv())
-        print(f"[csv] wrote {path}")
-    return result
+        print(result.render())
+        _write_csv(args, name, result.to_csv())
+        return result
 
-
-def _run_fleet(args, collector=None):
-    """Device-population sweep; --max-n caps the largest population."""
-    populations = fleet.DEFAULT_POPULATIONS
-    if args.max_n:
-        populations = tuple(n for n in populations if n <= args.max_n) or (
-            args.max_n,
-        )
-    result = fleet.main(
-        seed=args.seed, populations=populations, collector=collector
-    )
-    if args.csv:
-        path = os.path.join(args.csv, "fleet.csv")
-        with open(path, "w") as fh:
-            fh.write(result.to_csv())
-        print(f"[csv] wrote {path}")
-    return result
-
-
-def _run_churn(args, collector=None):
-    """Device-population sweep; --max-n caps the largest population."""
-    populations = churn.DEFAULT_POPULATIONS
-    if args.max_n:
-        populations = tuple(n for n in populations if n <= args.max_n) or (
-            args.max_n,
-        )
-    result = churn.main(
-        seed=args.seed, populations=populations, collector=collector
-    )
-    if args.csv:
-        path = os.path.join(args.csv, "churn.csv")
-        with open(path, "w") as fh:
-            fh.write(result.to_csv())
-        print(f"[csv] wrote {path}")
-    return result
+    return run
 
 
 def _run_scale(args, collector=None):
-    """Device-population sweep; --max-n caps the largest population."""
-    populations = scale.DEFAULT_POPULATIONS
-    if args.max_n:
-        populations = tuple(n for n in populations if n <= args.max_n) or (
-            args.max_n,
-        )
-    result = scale.run_scale_sweep(populations, seed=args.seed)
+    result = scale.run_scale_sweep(
+        _populations(args, scale.DEFAULT_POPULATIONS), seed=args.seed
+    )
     print(result.render())
-    if args.csv:
-        path = os.path.join(args.csv, "scale.csv")
-        rows = ["population,gateways,events_processed,events_per_sec"]
-        rows += [
-            f"{r.population},{r.gateways},"
-            f"{r.events_processed},{r.events_per_sec:.1f}"
-            for r in result.populations
-        ]
-        with open(path, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
-        print(f"[csv] wrote {path}")
+    rows = ["population,gateways,events_processed,events_per_sec"]
+    rows += [
+        f"{r.population},{r.gateways},"
+        f"{r.events_processed},{r.events_per_sec:.1f}"
+        for r in result.populations
+    ]
+    _write_csv(args, "scale", "\n".join(rows) + "\n")
     return result
 
 
@@ -173,11 +128,7 @@ def _run_diversity(args, collector=None):
     result = diversity.main(
         seed=args.seed, n_devices=n_devices, collector=collector
     )
-    if args.csv:
-        path = os.path.join(args.csv, "diversity.csv")
-        with open(path, "w") as fh:
-            fh.write(result.to_csv())
-        print(f"[csv] wrote {path}")
+    _write_csv(args, "diversity", result.to_csv())
     return result
 
 
@@ -185,10 +136,16 @@ _EXPERIMENTS = {
     "fig12": _run_fig12,
     "diversity": _run_diversity,
     "scale": _run_scale,
-    "churn": _run_churn,
+    "churn": _population_sweep(
+        "churn", fleet.run_churn_sweep, fleet.CHURN_POPULATIONS
+    ),
     "fig13": _run_fig13,
-    "overload": _run_overload,
-    "fleet": _run_fleet,
+    "overload": _population_sweep(
+        "overload", overload.run_overload_sweep, overload.DEFAULT_POPULATIONS
+    ),
+    "fleet": _population_sweep(
+        "fleet", fleet.run_fleet_sweep, fleet.DEFAULT_POPULATIONS
+    ),
     "faults": lambda args, collector=None: faults.main(
         seed=args.seed, collector=collector
     ),
