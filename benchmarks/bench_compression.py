@@ -31,11 +31,10 @@ def test_codec_ablation(benchmark, emit):
 
 def _pi_corpus():
     """A representative PI XML document (what the device compresses)."""
-    from repro.core.packed_info import pi_to_xml
+    from repro.core.packed_info import write_pi
     from repro.core import PIContent
     from repro.crypto import derive_dispatch_key
     from repro.apps.ebanking import make_transactions
-    from repro.xmlcodec import write_bytes
 
     content = PIContent(
         code_id="mac-000001",
@@ -47,7 +46,7 @@ def _pi_corpus():
         params={"transactions": make_transactions(["bank-a", "bank-b"], 8)},
         code_body="EBankingAgent;" * 200,
     )
-    return write_bytes(pi_to_xml(content))
+    return write_pi(content)
 
 
 def test_lzss_throughput_on_pi(benchmark):

@@ -1,9 +1,11 @@
 """Micro-benchmarks (M1) — substrate throughput.
 
 These catch performance regressions in the hot paths every experiment runs
-through: the event kernel, agent migration, XML encode/parse, and MD5.
+through: the event kernel, agent migration, the agent wire form, XML
+encode/parse, and MD5.
 """
 
+from repro.apps.ebanking import EBankingAgent, make_transactions
 from repro.crypto import md5
 from repro.mas import (
     AgentClassRegistry,
@@ -11,8 +13,11 @@ from repro.mas import (
     MobileAgent,
     MobileAgentServer,
     Stop,
+    deserialize_agent,
+    serialize_agent,
 )
 from repro.simnet import LinkSpec, Network, Simulator
+from repro.telemetry.spans import SpanContext
 from repro.xmlcodec import Element, parse, write
 
 
@@ -87,6 +92,49 @@ def test_agent_migration_throughput(benchmark):
 
     hops = benchmark.pedantic(run, rounds=3, iterations=1)
     assert hops == 21  # 20 stops + return home
+
+
+def _banking_agent():
+    """The paper figures' largest agent: home again after its tour with 10
+    transactions and their 10 results."""
+    transactions = make_transactions(["bank-a", "bank-b"], 10)
+    results = [
+        {
+            "status": "ok",
+            "bank": txn["bank"],
+            "account": txn["account"],
+            "amount": txn["amount"],
+            "dest": txn["dest"],
+            "new_balance": 10_000.0 - 25.0 * i,
+            "txn_id": txn["txn_id"],
+        }
+        for i, txn in enumerate(transactions)
+    ]
+    agent = EBankingAgent(
+        "gw-0/agent-1",
+        "pda",
+        "gw-0",
+        itinerary=Itinerary(origin="gw-0", stops=[Stop("bank-a"), Stop("bank-b")], cursor=2),
+        state={"params": {"transactions": transactions}, "results": results},
+    )
+    agent.hops = 3
+    agent.trace_ctx = SpanContext("trace-1", "span-7")
+    return agent
+
+
+def test_agent_wire_roundtrip_throughput(benchmark):
+    """Serialise an agent to its wire form and read it back."""
+    agent = _banking_agent()
+    snap = benchmark(lambda: deserialize_agent(serialize_agent(agent)))
+    assert (snap.agent_id, snap.class_name, snap.owner, snap.home) == (
+        agent.agent_id,
+        agent.class_name,
+        agent.owner,
+        agent.home,
+    )
+    assert (snap.hops, snap.code_size, snap.trace) == (3, 3072, agent.trace_ctx)
+    assert snap.itinerary.to_dict() == agent.itinerary.to_dict()
+    assert snap.state == agent.state
 
 
 def _xml_doc():

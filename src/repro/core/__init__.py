@@ -28,7 +28,7 @@ from .errors import (
 from .fleet import Fleet, FleetClient, HashRing
 from .gateway import GATEWAY_PORT, TASK_ID_HEADER, Gateway, Ticket
 from .netmanager import NetworkManager
-from .packed_info import PackedInfo, PIContent, pack, pi_from_xml, pi_to_xml, unpack
+from .packed_info import PackedInfo, PIContent, pack, pi_from_xml, unpack, write_pi
 from .platform import (
     CollectedResult,
     DispatchHandle,
@@ -85,7 +85,7 @@ __all__ = [
     "PackedInfo",
     "pack",
     "unpack",
-    "pi_to_xml",
+    "write_pi",
     "pi_from_xml",
     "Deployment",
     "DeploymentBuilder",

@@ -18,8 +18,8 @@ from typing import Optional
 
 from ..compressor import compress, decompress
 from ..rms import StorageManager
-from ..xmlcodec import parse_bytes, write_bytes
-from ..mas.serializer import value_to_xml
+from ..xmlcodec import XML_DECLARATION, parse_bytes, write_bytes
+from ..mas.serializer import typed_xml
 from .errors import PDAgentError, SubscriptionError
 from .subscription import ServiceCode, code_from_xml, code_to_xml
 
@@ -128,39 +128,13 @@ class InternalDatabase:
 
     # ------------------------------------------------------------ dispatch ledger
     def record_dispatch(self, record: DispatchRecord) -> None:
-        frame = write_bytes(
-            value_to_xml(
-                {
-                    "ticket": record.ticket,
-                    "agent_id": record.agent_id,
-                    "gateway": record.gateway,
-                    "service": record.service,
-                    "status": record.status,
-                    "dispatched_at": record.dispatched_at,
-                },
-                "dispatch",
-            )
-        )
-        record_id = self._dispatch.add_record(frame)
+        record_id = self._dispatch.add_record(_dispatch_document(record))
         self._dispatch_index[record.ticket] = (record_id, record)
 
     def update_dispatch_status(self, ticket: str, status: str) -> None:
         record_id, record = self._lookup_dispatch(ticket)
         record.status = status
-        frame = write_bytes(
-            value_to_xml(
-                {
-                    "ticket": record.ticket,
-                    "agent_id": record.agent_id,
-                    "gateway": record.gateway,
-                    "service": record.service,
-                    "status": record.status,
-                    "dispatched_at": record.dispatched_at,
-                },
-                "dispatch",
-            )
-        )
-        self._dispatch.set_record(record_id, frame)
+        self._dispatch.set_record(record_id, _dispatch_document(record))
 
     def get_dispatch(self, ticket: str) -> DispatchRecord:
         return self._lookup_dispatch(ticket)[1]
@@ -183,3 +157,16 @@ class InternalDatabase:
             + self._results.size_bytes
             + self._dispatch.size_bytes
         )
+
+
+def _dispatch_document(record: DispatchRecord) -> bytes:
+    """The dispatch ledger's stored form of ``record`` (UTF-8 XML)."""
+    fields = {
+        "ticket": record.ticket,
+        "agent_id": record.agent_id,
+        "gateway": record.gateway,
+        "service": record.service,
+        "status": record.status,
+        "dispatched_at": record.dispatched_at,
+    }
+    return (XML_DECLARATION + typed_xml(fields, "dispatch")).encode("utf-8")

@@ -36,9 +36,8 @@ from .serializer import (
     deserialize_agent,
     serialize_agent,
     state_from_xml,
-    state_to_xml,
+    typed_xml,
     value_from_xml,
-    value_to_xml,
 )
 from .server import MAS_PORT, AgentClassRegistry, MobileAgentServer
 from .state import AgentState, CompleteSignal, DisposeSignal, MigrationSignal
@@ -60,9 +59,8 @@ __all__ = [
     "AgentSnapshot",
     "serialize_agent",
     "deserialize_agent",
-    "value_to_xml",
+    "typed_xml",
     "value_from_xml",
-    "state_to_xml",
     "state_from_xml",
     "WireFormat",
     "AgletsWireFormat",

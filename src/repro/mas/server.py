@@ -1007,17 +1007,15 @@ class MobileAgentServer:
         """
         if not self.hop_reports_enabled:
             return
-        from ..xmlcodec import Element, write_bytes
-        from .serializer import value_to_xml
+        from ..xmlcodec import XML_DECLARATION, attr_text, leaf_text
+        from .serializer import typed_xml
 
-        doc = Element(
-            "hopreport", {"agent": agent.agent_id, "site": self.address}
-        )
-        doc.text = write_bytes(value_to_xml(value)).decode("utf-8")
+        attrs = attr_text("agent", agent.agent_id) + attr_text("site", self.address)
+        # The report carries the value's own document as its text.
+        value_doc = XML_DECLARATION + typed_xml(value)
+        body = (XML_DECLARATION + leaf_text("hopreport", attrs, value_doc)).encode("utf-8")
         self.sim.process(
-            self._post_hop_report(
-                agent.home, write_bytes(doc), agent.trace_ctx
-            ),
+            self._post_hop_report(agent.home, body, agent.trace_ctx),
             name=f"mas-hopreport:{agent.agent_id}",
         )
 

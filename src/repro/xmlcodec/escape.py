@@ -65,20 +65,22 @@ def unescape(value: str, offset: int = 0) -> str:
         name = value[i + 1 : end]
         if not name:
             raise XmlParseError("empty entity reference", offset + i)
-        if name.startswith("#x") or name.startswith("#X"):
+        if name.startswith("#"):
+            hexadecimal = name.startswith(("#x", "#X"))
             try:
-                parts.append(chr(int(name[2:], 16)))
+                char = chr(int(name[2:], 16) if hexadecimal else int(name[1:], 10))
             except (ValueError, OverflowError):
+                kind = "hex character" if hexadecimal else "character"
                 raise XmlParseError(
-                    f"bad hex character reference &{name};", offset + i
+                    f"bad {kind} reference &{name};", offset + i
                 ) from None
-        elif name.startswith("#"):
-            try:
-                parts.append(chr(int(name[1:], 10)))
-            except (ValueError, OverflowError):
+            # XML 1.0's Char production excludes the surrogate block: a lone
+            # surrogate could not even be encoded back to UTF-8.
+            if "\ud800" <= char <= "\udfff":
                 raise XmlParseError(
-                    f"bad character reference &{name};", offset + i
-                ) from None
+                    f"surrogate character reference &{name};", offset + i
+                )
+            parts.append(char)
         else:
             try:
                 parts.append(_ENTITIES[name])

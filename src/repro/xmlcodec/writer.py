@@ -10,34 +10,51 @@ from __future__ import annotations
 from .dom import Element
 from .escape import escape_attr, escape_text
 
-__all__ = ["write", "write_bytes", "XML_DECLARATION"]
+__all__ = ["write", "write_bytes", "attr_text", "leaf_text", "XML_DECLARATION"]
 
 XML_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>'
 
 
+def attr_text(name: str, value: str) -> str:
+    """One attribute as a start tag holds it: `` name="value"``, escaped."""
+    return f' {name}="{escape_attr(value)}"'
+
+
+def leaf_text(tag: str, attrs: str = "", text: str = "") -> str:
+    """A childless element as text.
+
+    ``attrs`` is the start tag's attributes, each from :func:`attr_text`, in
+    document order; ``text`` is character data, escaped here.  An element
+    without text is written ``<tag/>``.
+
+    >>> leaf_text("t", attr_text("a", "<1>"), "x & y")
+    '<t a="&lt;1&gt;">x &amp; y</t>'
+    >>> leaf_text("t")
+    '<t/>'
+    """
+    if text:
+        return f"<{tag}{attrs}>{escape_text(text)}</{tag}>"
+    return f"<{tag}{attrs}/>"
+
+
 def _write_element(elem: Element, parts: list[str], indent: str, depth: int) -> None:
     pad = indent * depth if indent else ""
-    attrs = "".join(
-        f' {key}="{escape_attr(value)}"' for key, value in elem.attrib.items()
-    )
-    has_children = len(elem) > 0
-    has_text = bool(elem.text)
-    if not has_children and not has_text:
-        parts.append(f"{pad}<{elem.tag}{attrs}/>")
-    else:
-        parts.append(f"{pad}<{elem.tag}{attrs}>")
-        if has_text:
-            parts.append(escape_text(elem.text))
-        if has_children:
-            for child in elem:
-                if indent:
-                    parts.append("\n")
-                _write_element(child, parts, indent, depth + 1)
-                if child.tail:
-                    parts.append(escape_text(child.tail))
-            if indent:
-                parts.append(f"\n{pad}")
-        parts.append(f"</{elem.tag}>")
+    attrs = "".join([attr_text(key, value) for key, value in elem.attrib.items()])
+    if not len(elem):
+        parts.append(pad + leaf_text(elem.tag, attrs, elem.text))
+        return
+    parts.append(f"{pad}<{elem.tag}{attrs}>")
+    if elem.text:
+        parts.append(escape_text(elem.text))
+    for child in elem:
+        if indent:
+            parts.append("\n")
+        _write_element(child, parts, indent, depth + 1)
+        if child.tail:
+            parts.append(escape_text(child.tail))
+    if indent:
+        parts.append(f"\n{pad}")
+    parts.append(f"</{elem.tag}>")
 
 
 def write(root: Element, declaration: bool = True, indent: str = "") -> str:

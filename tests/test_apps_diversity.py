@@ -13,13 +13,13 @@ import pytest
 from repro.apps.auction import AuctionHouseServiceAgent, auction_service_code, make_lots
 from repro.apps.ridedispatch import RideDispatchAgent
 from repro.apps.auction import AuctionSnipeAgent
-from repro.core import DeploymentBuilder, PIContent, pi_from_xml, pi_to_xml
+from repro.core import DeploymentBuilder, PIContent, pi_from_xml, write_pi
 from repro.core.errors import DeadlineExpiredError
 from repro.crypto import derive_dispatch_key
 from repro.mas import Itinerary, Stop
 from repro.simtest import generate, run_spec
 from repro.simtest.spec import DeviceSpec, FaultSpec, ScenarioSpec, TaskSpec
-from repro.xmlcodec import parse, write
+from repro.xmlcodec import parse
 
 SITES = ("site-0", "site-1", "site-2")
 
@@ -144,12 +144,12 @@ class TestDeadlinePIRoundTrip:
 
     def test_deadline_survives_the_xml_codec(self):
         content = self._content(deadline=42.125)
-        text = write(pi_to_xml(content))
+        text = write_pi(content).decode()
         assert "<deadline>" in text
         assert pi_from_xml(parse(text)).deadline == 42.125
 
     def test_zero_deadline_stays_off_the_wire(self):
-        text = write(pi_to_xml(self._content()))
+        text = write_pi(self._content()).decode()
         assert "<deadline>" not in text, (
             "legacy tasks must not grow a deadline element"
         )
@@ -159,7 +159,7 @@ class TestDeadlinePIRoundTrip:
         # repr round-trip: the gateway compares sim.now > deadline, so the
         # parsed float must be bit-equal to the device's.
         for deadline in (0.1, 133.33333333333334, 1e9 + 0.5):
-            text = write(pi_to_xml(self._content(deadline=deadline)))
+            text = write_pi(self._content(deadline=deadline)).decode()
             assert pi_from_xml(parse(text)).deadline == deadline
 
 

@@ -137,10 +137,9 @@ def _bitstream_corpus() -> list[bytes]:
     """Inputs that reach every LZSS selection rule and both length limits."""
     from repro.apps.ebanking import EBankingAgent, make_transactions
     from repro.core import PIContent
-    from repro.core.packed_info import pi_to_xml
+    from repro.core.packed_info import write_pi
     from repro.crypto import derive_dispatch_key
     from repro.mas import Itinerary, Stop, serialize_agent
-    from repro.xmlcodec import write_bytes
 
     noise = b"".join(hashlib.sha256(k.to_bytes(2, "big")).digest() for k in range(256))
     block = noise[:40]
@@ -184,7 +183,7 @@ def _bitstream_corpus() -> list[bytes]:
         b"xyz-xz[-xyz-xz[-xz[xyz-xyzxz[",  # "xyz"/"xz[" share a 3-byte hash
         b"<t>100</t>" * 30,
         noise[:600],
-        write_bytes(pi_to_xml(pi)),
+        write_pi(pi),
         serialize_agent(agent),
     ]
 

@@ -7,11 +7,11 @@ import pytest
 
 from repro.compressor import codec_names
 from repro.crypto import IntegrityError, KeyRing, KeyVault, derive_dispatch_key
-from repro.core import PDAgentConfig, PIContent, pack, pi_from_xml, pi_to_xml, unpack
+from repro.core import PDAgentConfig, PIContent, pack, pi_from_xml, unpack, write_pi
 from repro.core.errors import DeploymentError
 from repro.core.security import DeviceSecurity, GatewaySecurity
 from repro.mas import Itinerary, Stop
-from repro.xmlcodec import parse, write
+from repro.xmlcodec import parse_bytes
 
 VAULT = KeyVault(bits=512, seed=0)
 GATEWAY = "gw-0"
@@ -89,7 +89,7 @@ class TestConfig:
 class TestPIXml:
     def test_xml_roundtrip(self):
         content = make_content()
-        recovered = pi_from_xml(parse(write(pi_to_xml(content), declaration=False)))
+        recovered = pi_from_xml(parse_bytes(write_pi(content)))
         assert recovered.code_id == content.code_id
         assert recovered.device_id == content.device_id
         assert recovered.dispatch_key == content.dispatch_key
@@ -99,7 +99,7 @@ class TestPIXml:
 
     def test_no_itinerary_roundtrip(self):
         content = make_content(itinerary=None)
-        recovered = pi_from_xml(parse(write(pi_to_xml(content), declaration=False)))
+        recovered = pi_from_xml(parse_bytes(write_pi(content)))
         assert recovered.itinerary is None
 
     def test_missing_required_field_raises(self):

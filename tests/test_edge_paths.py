@@ -145,6 +145,54 @@ class TestMalformedGatewayInputs:
         assert resp.reason.startswith("malformed PI")
         assert dep.network.tracer.counters.get("http_500", 0) == 0
 
+    def _subscribed_pi(self, dep) -> bytes:
+        """A subscribed device's PI document, as the device writes it."""
+        from repro.apps.ebanking import make_transactions
+        from repro.compressor import decompress
+        from repro.core import PDAgentConfig, pack
+        from repro.core.security import PLAIN_MAGIC, DeviceSecurity
+        from repro.crypto import KeyRing
+
+        platform = dep.platform("pda")
+        dep.sim.run(until=dep.sim.process(platform.subscribe("ebanking", gateway="gw-0")))
+        content = platform.dispatcher.build_content(
+            platform.db.find_code_by_service("ebanking"),
+            {"transactions": make_transactions(["bank-a"], 2)},
+        )
+        config = PDAgentConfig(encrypt=False, codec="null")
+        packed = pack(content, config, DeviceSecurity(config, KeyRing(), bytes), "gw-0")
+        return decompress(packed.data[len(PLAIN_MAGIC) + 16 :])
+
+    def _upload_pi(self, dep, xml: bytes):
+        from repro.compressor import compress
+        from repro.core.security import PLAIN_MAGIC
+        from repro.crypto import md5
+
+        frame = compress(xml, "lzss")
+        return self._post(dep, "/pi", PLAIN_MAGIC + md5(frame) + frame)
+
+    def test_surrogate_character_reference_rejected_400(self, dep):
+        """A lone surrogate parsed into the PI cannot be encoded again
+        when the agent is serialised; it must be refused as malformed."""
+        xml = self._subscribed_pi(dep)
+        assert b"acct-main" in xml
+        resp = self._upload_pi(dep, xml.replace(b"acct-main", b"acct-&#xD800;"))
+        assert resp.status == 400
+        assert resp.reason.startswith("malformed PI")
+        assert dep.network.tracer.counters.get("http_500", 0) == 0
+
+    @pytest.mark.parametrize("depth", [600, 5000])
+    def test_over_deep_pi_rejected_400(self, dep, depth):
+        params = b'<params type="dict">'
+        xml = self._subscribed_pi(dep)
+        assert params in xml
+        chain = b'<item type="list">' * depth + b"</item>" * depth
+        deep = params + b'<entry type="list" key="deep">' + chain + b"</entry>"
+        resp = self._upload_pi(dep, xml.replace(params, deep))
+        assert resp.status == 400
+        assert resp.reason.startswith("malformed PI")
+        assert dep.network.tracer.counters.get("http_500", 0) == 0
+
     def test_malformed_subscribe_rejected_400(self, dep):
         resp = self._post(dep, "/subscribe", b"<broken")
         assert resp.status == 400

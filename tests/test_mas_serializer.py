@@ -11,15 +11,15 @@ from repro.mas import (
     Stop,
     deserialize_agent,
     serialize_agent,
+    state_from_xml,
+    typed_xml,
     value_from_xml,
-    value_to_xml,
 )
-from repro.mas.serializer import state_from_xml, state_to_xml
-from repro.xmlcodec import parse, write
+from repro.xmlcodec import parse
 
 
 def roundtrip(value):
-    return value_from_xml(parse(write(value_to_xml(value), declaration=False)))
+    return value_from_xml(parse(typed_xml(value)))
 
 
 class TestTypedValues:
@@ -58,23 +58,25 @@ class TestTypedValues:
 
     def test_non_string_dict_key_raises(self):
         with pytest.raises(TypeError):
-            value_to_xml({1: "x"})
+            typed_xml({1: "x"})
 
     def test_unserialisable_type_raises(self):
         with pytest.raises(TypeError):
-            value_to_xml(object())
+            typed_xml(object())
 
     def test_bad_type_attribute_raises(self):
-        elem = value_to_xml(5)
+        elem = parse(typed_xml(5))
         elem.set("type", "alien")
         with pytest.raises(ValueError):
             value_from_xml(elem)
 
     def test_state_must_be_dict(self):
+        agent = _Courier("a/1", "o", "h")
+        agent.state = [1, 2]
         with pytest.raises(TypeError):
-            state_to_xml([1, 2])
+            serialize_agent(agent)
         with pytest.raises(ValueError):
-            state_from_xml(value_to_xml([1, 2], "state"))
+            state_from_xml(parse(typed_xml([1, 2], "state")))
 
 
 _json_values = st.recursive(
