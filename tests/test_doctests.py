@@ -6,13 +6,17 @@ import pytest
 
 import repro.compressor
 import repro.mas.itinerary
+import repro.mas.serializer
 import repro.simnet.kernel
 import repro.xmlcodec
+import repro.xmlcodec.writer
 
 MODULES = [
     repro.xmlcodec,
+    repro.xmlcodec.writer,
     repro.compressor,
     repro.mas.itinerary,
+    repro.mas.serializer,
     repro.simnet.kernel,
 ]
 
