@@ -45,18 +45,8 @@ class PDAgentConfig:
     # --- gateway selection (§3.5) ------------------------------------------
     #: Selection policy: "nearest" (paper), "first", "random", "round_robin".
     selection_policy: str = "nearest"
-    #: Probe size in bytes (the paper sends "1-bit data"; one byte is the
-    #: minimum the byte-granular simulator can carry).
-    probe_size: int = 1
-    #: Re-download the address list when the chosen gateway's RTT exceeds
-    #: this threshold (seconds).
-    rtt_threshold: float = 2.5
     #: How long a measured RTT stays fresh before re-probing (seconds).
     rtt_cache_ttl: float = 300.0
-
-    # --- result collection -----------------------------------------------------
-    #: Device polling interval when using poll-based collection (seconds).
-    poll_interval: float = 5.0
 
     # --- fault tolerance (device-side retry + gateway watchdog) -------------
     #: Attempts per device↔gateway exchange before surfacing GatewayError.
@@ -64,13 +54,11 @@ class PDAgentConfig:
     retry_max_attempts: int = 3
     #: Wall-clock budget per logical exchange (all attempts + backoff).
     retry_deadline_s: float = 60.0
-    #: Circuit breaker: consecutive failures before a gateway is skipped,
-    #: and how long it stays skipped before a half-open retry.
-    breaker_threshold: int = 2
+    #: Circuit breaker: how long a gateway stays skipped after its failures
+    #: open the breaker, before a half-open retry.
     breaker_cooldown_s: float = 30.0
     #: Gateway-side watchdog: a ticket still "dispatched" after this many
     #: seconds is finalized as "failed" (retriable) instead of hanging.
-    #: <= 0 disables the watchdog.
     ticket_watchdog_s: float = 120.0
 
     # --- overload protection (gateway admission + device cooperation) -------
@@ -96,10 +84,6 @@ class PDAgentConfig:
     #: Extra fixed CPU cost per agent dispatch at the gateway (nominal
     #: seconds) — lets overload experiments model heavyweight dispatch.
     dispatch_cost_s: float = 0.0
-    #: Result retention: seconds past the *first successful download* after
-    #: which the result document expires and its workspace is reclaimed.
-    #: <= 0 retains results forever (the pre-TTL behaviour).
-    result_ttl_s: float = 600.0
     #: Cap on a server-advertised Retry-After the device will actually wait
     #: before retrying a shed exchange.
     retry_after_cap_s: float = 30.0
@@ -121,26 +105,12 @@ class PDAgentConfig:
     #: consistent-hash ownership of task_ids with claim forwarding, making
     #: dedup authoritative fleet-wide.  Off, every gateway is a fleet of one.
     fleet_enabled: bool = False
-    #: Claim RPC rounds against the owner before degrading to
-    #: local-accept-with-reconciliation.
-    fleet_claim_attempts: int = 2
-    #: Per-round claim timeout (seconds).
-    fleet_claim_timeout_s: float = 3.0
-    #: Forwarding circuit breaker: the cooldown before a half-open retry of
-    #: an owner presumed down.
-    fleet_breaker_cooldown_s: float = 15.0
-    #: Reconciliation loop for local-accepted tasks: re-claim every interval.
-    fleet_reconcile_interval_s: float = 5.0
     #: Failure detector: how long a suspect may stay silent before the
     #: shared view marks it ``down``.
     fleet_suspicion_timeout_s: float = 6.0
     #: Graceful drain: how long a draining gateway waits for in-flight
     #: dispatches to finish before migrating whatever state it still owns.
     fleet_drain_timeout_s: float = 30.0
-    #: Release retries before counting ``fleet.release_failed`` and letting
-    #: the stale owner binding age out via its TTL.
-    fleet_release_attempts: int = 3
-    fleet_release_retry_s: float = 2.0
 
     # --- streaming session layer ---------------------------------------------
     #: Device side: upload the PI through a resumable chunked session and
@@ -150,17 +120,6 @@ class PDAgentConfig:
     #: Chunk size for resumable uploads (bytes of the protected PI frame
     #: per PUT).  Small enough that a link flap loses at most one chunk.
     session_chunk_bytes: int = 1024
-    #: Concurrent session requests a gateway processes (its own admission
-    #: class, so a chunk flood can never starve result downloads).
-    gateway_session_workers: int = 8
-    #: Session requests allowed to wait for a worker before shedding.
-    session_queue_limit: int = 32
-    #: Idle session retention: an open session with no contact for this
-    #: many seconds is reaped (its partial upload state is dropped).
-    session_ttl_s: float = 600.0
-    #: Per-session reconnect-window push queue bound; when full the oldest
-    #: notification is dropped (the poll fallback still covers it).
-    push_queue_limit: int = 64
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -174,20 +133,14 @@ class PDAgentConfig:
             )
         if self.selection_policy not in ("nearest", "first", "random", "round_robin"):
             raise ValueError(f"unknown selection policy {self.selection_policy!r}")
-        if self.probe_size < 1:
-            raise ValueError("probe_size must be >= 1")
-        if self.rtt_threshold <= 0:
-            raise ValueError("rtt_threshold must be positive")
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
         if self.retry_max_attempts < 1:
             raise ValueError("retry_max_attempts must be >= 1")
         if self.retry_deadline_s <= 0:
             raise ValueError("retry_deadline_s must be positive")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
         if self.breaker_cooldown_s <= 0:
             raise ValueError("breaker_cooldown_s must be positive")
+        if self.ticket_watchdog_s <= 0:
+            raise ValueError("ticket_watchdog_s must be positive")
         if self.gateway_dispatch_workers < 1:
             raise ValueError("gateway_dispatch_workers must be >= 1")
         if self.admission_queue_limit < 0:
@@ -202,32 +155,12 @@ class PDAgentConfig:
             raise ValueError("retry_after_cap_s must be positive")
         if self.storage_backend not in ("memory", "sqlite"):
             raise ValueError(f"unknown storage backend {self.storage_backend!r}")
-        if self.fleet_claim_attempts < 1:
-            raise ValueError("fleet_claim_attempts must be >= 1")
-        if self.fleet_claim_timeout_s <= 0:
-            raise ValueError("fleet_claim_timeout_s must be positive")
-        if self.fleet_breaker_cooldown_s <= 0:
-            raise ValueError("fleet_breaker_cooldown_s must be positive")
-        if self.fleet_reconcile_interval_s <= 0:
-            raise ValueError("fleet_reconcile_interval_s must be positive")
         if self.fleet_suspicion_timeout_s <= 0:
             raise ValueError("fleet_suspicion_timeout_s must be positive")
         if self.fleet_drain_timeout_s <= 0:
             raise ValueError("fleet_drain_timeout_s must be positive")
-        if self.fleet_release_attempts < 1:
-            raise ValueError("fleet_release_attempts must be >= 1")
-        if self.fleet_release_retry_s <= 0:
-            raise ValueError("fleet_release_retry_s must be positive")
         if self.session_chunk_bytes < 64:
             raise ValueError("session_chunk_bytes must be >= 64")
-        if self.gateway_session_workers < 1:
-            raise ValueError("gateway_session_workers must be >= 1")
-        if self.session_queue_limit < 0:
-            raise ValueError("session_queue_limit must be >= 0")
-        if self.session_ttl_s <= 0:
-            raise ValueError("session_ttl_s must be positive")
-        if self.push_queue_limit < 1:
-            raise ValueError("push_queue_limit must be >= 1")
 
     def with_(self, **changes) -> "PDAgentConfig":
         """A modified copy (convenience for sweeps)."""

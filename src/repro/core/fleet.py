@@ -79,6 +79,19 @@ FLEET_MIGRATE_PATH = "/fleet/migrate"
 #: still answering); ``down`` members failed the suspicion probe.
 MEMBER_STATES = ("joining", "active", "draining", "down")
 
+#: Claim RPC rounds against the owner before degrading to
+#: local-accept-with-reconciliation, and each round's timeout (seconds).
+FLEET_CLAIM_ATTEMPTS = 2
+FLEET_CLAIM_TIMEOUT_S = 3.0
+#: Forwarding circuit breaker: the cooldown before a half-open retry of an
+#: owner presumed down.
+FLEET_BREAKER_COOLDOWN_S = 15.0
+#: Release attempts, and the pause between them, before counting
+#: ``fleet.release_failed`` and letting the stale owner binding age out via
+#: its TTL.
+FLEET_RELEASE_ATTEMPTS = 3
+FLEET_RELEASE_RETRY_S = 2.0
+
 
 def _hash(key: str) -> int:
     """64-bit ring position; md5 keeps it stable across runs and machines."""
@@ -350,9 +363,7 @@ class FleetClient:
     def __init__(self, gateway: "Gateway", fleet: Fleet) -> None:
         self.gateway = gateway
         self.fleet = fleet
-        self.breaker = CircuitBreaker(
-            gateway.sim, cooldown=gateway.config.fleet_breaker_cooldown_s
-        )
+        self.breaker = CircuitBreaker(gateway.sim, cooldown=FLEET_BREAKER_COOLDOWN_S)
 
     # ------------------------------------------------------------ claim RPC
     def claim(
@@ -376,7 +387,7 @@ class FleetClient:
         gw = self.gateway
         tracer = gw.network.tracer
         owner = self.fleet.owner(task_id)
-        for _attempt in range(gw.config.fleet_claim_attempts):
+        for _attempt in range(FLEET_CLAIM_ATTEMPTS):
             owner = self.fleet.owner(task_id)
             if owner == gw.address:
                 return ("local", "", "")
@@ -435,7 +446,7 @@ class FleetClient:
             self._rpc(target, FLEET_CLAIM_PATH, body, purpose="fleet-claim"),
             name=f"fleet-claim:{ticket_id}",
         )
-        deadline = sim.timeout(gw.config.fleet_claim_timeout_s)
+        deadline = sim.timeout(FLEET_CLAIM_TIMEOUT_S)
         fired = yield sim.any_of([rpc, deadline])
         if rpc not in fired:
             # Timed out.  The RPC is left running: the owner's bind is
@@ -495,8 +506,7 @@ class FleetClient:
         """
         gw = self.gateway
         body = release_request(task_id, ticket_id)
-        attempts = gw.config.fleet_release_attempts
-        for attempt in range(attempts):
+        for attempt in range(FLEET_RELEASE_ATTEMPTS):
             # Re-resolve per attempt: an epoch change may have moved the
             # task home (nothing to release) or to a reachable owner.
             owner = self.fleet.owner(task_id)
@@ -509,8 +519,8 @@ class FleetClient:
                 if attempt:
                     gw.network.tracer.count("fleet.release_recovered")
                 return
-            if attempt + 1 < attempts:
-                yield gw.sim.timeout(gw.config.fleet_release_retry_s)
+            if attempt + 1 < FLEET_RELEASE_ATTEMPTS:
+                yield gw.sim.timeout(FLEET_RELEASE_RETRY_S)
         gw.network.tracer.count("fleet.release_failed")
 
     def _rpc(

@@ -90,8 +90,17 @@ SERVICE_TIME_S = 0.008
 #: worker pool, and the requests allowed to wait for a worker before shedding.
 DOWNLOAD_WORKERS = 32
 DOWNLOAD_QUEUE_LIMIT = 128
-#: Timed re-claims of a locally-accepted task before reconciliation gives up.
+#: The "session" admission class (chunks, polls, hop reports): its worker
+#: pool, and the requests allowed to wait for a worker before shedding.
+SESSION_WORKERS = 8
+SESSION_QUEUE_LIMIT = 32
+#: Result retention: seconds past the *first successful download* after
+#: which the result document expires and its workspace is reclaimed.
+RESULT_TTL_S = 600.0
+#: Timed re-claims of a locally-accepted task before reconciliation gives
+#: up, and the wait before each.
 FLEET_RECONCILE_ATTEMPTS = 10
+FLEET_RECONCILE_INTERVAL_S = 5.0
 #: Failure detector: suspicion-probe cadence, and each heartbeat's timeout.
 FLEET_HEARTBEAT_INTERVAL_S = 1.0
 #: Items per ``/fleet/migrate`` batch, and send attempts per drain batch (a
@@ -503,8 +512,8 @@ class Gateway:
         # slot for the dispatch itself — different pools, no deadlock.
         self.admission.add_class(
             "session",
-            workers=self.config.gateway_session_workers,
-            queue_limit=self.config.session_queue_limit,
+            workers=SESSION_WORKERS,
+            queue_limit=SESSION_QUEUE_LIMIT,
             retry_after_s=self.config.shed_retry_after_s,
         )
         #: Streaming session layer (resumable uploads, partial streams,
@@ -678,11 +687,10 @@ class Gateway:
         self._finalize_ticket(ticket, result, "completed")
 
     def _watch_ticket(self, ticket: Ticket) -> None:
-        """Arm the per-ticket watchdog (no-op when disabled by config)."""
-        if self.config.ticket_watchdog_s > 0:
-            self.sim.process(
-                self._ticket_watchdog(ticket), name=f"gw-watchdog:{ticket.ticket_id}"
-            )
+        """Arm the per-ticket watchdog."""
+        self.sim.process(
+            self._ticket_watchdog(ticket), name=f"gw-watchdog:{ticket.ticket_id}"
+        )
 
     def _ticket_watchdog(self, ticket: Ticket) -> Generator:
         """Finalize a ticket still "dispatched" after the deadline as "failed".
@@ -751,7 +759,7 @@ class Gateway:
         this ticket instead of dispatching a fresh agent — unless
         ``dedup_ttl_s`` arms its expiry, bounding the index for long runs.
         """
-        yield self.sim.timeout(self.config.result_ttl_s)
+        yield self.sim.timeout(RESULT_TTL_S)
         if self.storage.tickets.get(ticket.ticket_id) is not ticket:
             return  # migrated away (drain/rebalance): the new home owns TTL
         if ticket.result_frame is None:
@@ -853,7 +861,7 @@ class Gateway:
 
     def _reconcile(self, task_id: str, ticket: Ticket) -> Generator:
         for _ in range(FLEET_RECONCILE_ATTEMPTS):
-            yield self.sim.timeout(self.config.fleet_reconcile_interval_s)
+            yield self.sim.timeout(FLEET_RECONCILE_INTERVAL_S)
             if self._unreconciled.get(task_id) != ticket.ticket_id:
                 return  # released, superseded, or failed meanwhile
             verdict, winner, _agent = yield from self.fleet_client.claim(
@@ -1151,10 +1159,9 @@ class Gateway:
         if ticket.first_downloaded_at is None:
             ticket.first_downloaded_at = self.sim.now
             self.storage.tickets.persist(ticket)
-            if self.config.result_ttl_s > 0:
-                self.sim.process(
-                    self._expire_result(ticket), name=f"gw-expire:{ticket.ticket_id}"
-                )
+            self.sim.process(
+                self._expire_result(ticket), name=f"gw-expire:{ticket.ticket_id}"
+            )
         return HttpResponse(
             200, body=ticket.result_frame, body_size=len(ticket.result_frame)
         )
@@ -1499,11 +1506,7 @@ class Gateway:
                     self.storage.sessions.append_partial(
                         ticket.ticket_id, json.loads(child.text)
                     )
-            if (
-                ticket.result_frame is not None
-                and ticket.first_downloaded_at is not None
-                and self.config.result_ttl_s > 0
-            ):
+            if ticket.result_frame is not None and ticket.first_downloaded_at is not None:
                 # The origin's TTL timer died with the migration; restart
                 # retention from arrival here.
                 self.sim.process(

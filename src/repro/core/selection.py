@@ -34,6 +34,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["GatewaySelector", "ProbeResult"]
 
+#: Probe size in bytes (the paper sends "1-bit data"; one byte is the
+#: minimum the byte-granular simulator can carry).
+PROBE_SIZE_BYTES = 1
+#: Re-download the address list when even the nearest gateway's RTT exceeds
+#: this threshold (seconds).
+RTT_THRESHOLD_S = 2.5
+
 
 class ProbeResult:
     """One gateway's measured RTT."""
@@ -161,7 +168,7 @@ class GatewaySelector:
         """
         try:
             rtt = yield from self.network.ping(
-                self.device_address, address, self.config.probe_size
+                self.device_address, address, PROBE_SIZE_BYTES
             )
         except NoRouteError:
             self.network.tracer.count("probes_unreachable")
@@ -242,7 +249,7 @@ class GatewaySelector:
                 # those measurements, and the breaker set may have moved.
                 continue
             best = probes[0]
-            if not refreshed and best.rtt > self.config.rtt_threshold and not skip:
+            if not refreshed and best.rtt > RTT_THRESHOLD_S and not skip:
                 # Even the nearest gateway is too far: fetch a fresh list and
                 # re-probe once; accept the best we can get after that.
                 refreshed = True

@@ -91,6 +91,12 @@ RESULT_READY_HEADER = "x-result-ready"
 HOPS_VISITED_HEADER = "x-hops-visited"
 #: … and sites still ahead of the agent (adaptive-poll hint).
 HOPS_REMAINING_HEADER = "x-hops-remaining"
+#: Idle session retention: an open session with no contact for this many
+#: seconds is reaped (its partial upload state is dropped).
+SESSION_TTL_S = 600.0
+#: Per-session reconnect-window push queue bound; when full the oldest
+#: notification is dropped (the poll fallback still covers it).
+PUSH_QUEUE_LIMIT = 64
 
 
 class SessionManager:
@@ -148,10 +154,9 @@ class SessionManager:
     def _reap(self) -> None:
         """Lazily expire idle sessions (no background process: a reaper
         firing at quiescence would never let the swarm drain)."""
-        ttl = self.gateway.config.session_ttl_s
         now = self.sim.now
         for record in self.store.values():
-            if now - record.last_contact > ttl:
+            if now - record.last_contact > SESSION_TTL_S:
                 self.store.delete(record.session_id)
                 self._push.pop(record.session_id, None)
                 self.tracer.count("gateway.session_expired")
@@ -501,7 +506,7 @@ class SessionManager:
 
     def _queue(self, session_id: str, event: dict) -> None:
         queue = self._push.setdefault(session_id, [])
-        if len(queue) >= self.gateway.config.push_queue_limit:
+        if len(queue) >= PUSH_QUEUE_LIMIT:
             queue.pop(0)
             self.tracer.count("gateway.session_push_dropped")
         queue.append(event)

@@ -70,23 +70,6 @@ class Itinerary:
             raise IndexError("itinerary already exhausted")
         self.cursor += 1
 
-    def rewind(self, n: int = 1) -> None:
-        """Move the cursor back ``n`` stops.
-
-        Used by checkpoint re-dispatch under the "retry" site-failure
-        policy: the re-landed agent visits the failed stop again instead
-        of skipping its work.  Rewinding past the first visited stop is a
-        caller bug (it would silently re-plan the whole tour), so ``n``
-        must satisfy ``0 <= n <= cursor``.
-        """
-        if n < 0:
-            raise ValueError(f"cannot rewind by {n!r}")
-        if n > self.cursor:
-            raise ValueError(
-                f"cannot rewind {n} stop(s): only {self.cursor} visited"
-            )
-        self.cursor -= n
-
     def remaining(self) -> list[Stop]:
         return list(self.stops[self.cursor :])
 

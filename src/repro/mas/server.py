@@ -43,7 +43,7 @@ from .errors import (
     UnknownAgentError,
     UnknownClassError,
 )
-from .itinerary import Itinerary, Stop
+from .itinerary import Itinerary
 from .messaging import AgentMessage, ServiceAgent
 from .state import AgentState, CompleteSignal, DisposeSignal, MigrationSignal
 
@@ -110,10 +110,6 @@ class MobileAgentServer:
     #: Base backoff between dispatch attempts (exponential, jittered from a
     #: named stream — reproducible under a fixed master seed).
     dispatch_backoff: float = 0.5
-    #: Unreachable-site handling: "skip" strikes the site from the tour,
-    #: "retry" re-queues it once at the end (it may have healed), "fail"
-    #: raises MigrationError (the pre-fault-tolerance behaviour).
-    site_failure_policy: str = "skip"
     #: Checkpoint agents at every itinerary stop (home keeps the latest copy).
     checkpointing: bool = True
     #: Guardian (home-side supervisor) wake interval and give-up bounds —
@@ -124,7 +120,7 @@ class MobileAgentServer:
     #: Admission control: inbound agent transfers decoded/landed at once.
     #: Beyond the bound the server refuses with an "overloaded" ack, which
     #: the sender's dispatch-retry machinery backs off and re-attempts —
-    #: the MAS-tier twin of the gateway's 503 shed.  0 disables the bound.
+    #: the MAS-tier twin of the gateway's 503 shed.
     transfer_intake_limit: int = 16
     #: Streaming sessions: when True, :meth:`report_hop_result` posts each
     #: hop's site result to the agent's home gateway so a device poll can
@@ -519,8 +515,8 @@ class MobileAgentServer:
         Migration is the fault-critical step of a tour: the next hop may
         have crashed or been cut off since the itinerary was written.  Each
         destination gets ``1 + dispatch_retries`` attempts, each bounded by
-        ``dispatch_timeout``; a destination that stays dead is then handled
-        per :attr:`site_failure_policy`.
+        ``dispatch_timeout``; a destination that stays dead is struck from
+        the tour (:meth:`_strike_site`).
         """
         agent.lifecycle = AgentState.MIGRATING
         self._agents.pop(agent.agent_id, None)
@@ -552,7 +548,6 @@ class MobileAgentServer:
         stream = self.network.streams.get(f"mas-dispatch:{self.address}")
         dest = destination
         while True:
-            last_exc: Optional[Exception] = None
             for attempt in range(1 + max(0, self.dispatch_retries)):
                 if attempt:
                     delay = self.dispatch_backoff * (2 ** (attempt - 1))
@@ -561,17 +556,11 @@ class MobileAgentServer:
                 try:
                     yield from self._attempt_transfer(agent, dest)
                     return
-                except (TransportError, NoRouteError, MigrationError) as exc:
-                    last_exc = exc
+                except (TransportError, NoRouteError, MigrationError):
                     self.network.tracer.count("migration_failures")
-            if self.site_failure_policy == "fail":
-                raise MigrationError(
-                    f"transfer of {agent.agent_id} to {dest} failed: {last_exc}"
-                ) from last_exc
-            next_dest = self._strike_site(agent, dest)
-            if next_dest is None:
+            dest = self._strike_site(agent, dest)
+            if dest is None:
                 return
-            dest = next_dest
 
     def _attempt_transfer(self, agent: MobileAgent, destination: str) -> Generator:
         """One dispatch attempt, bounded by :attr:`dispatch_timeout`."""
@@ -632,27 +621,13 @@ class MobileAgentServer:
     def _strike_site(self, agent: MobileAgent, failed: str) -> Optional[str]:
         """Unreachable-site bookkeeping; returns the next destination.
 
-        Records the failure in the agent's state, optionally re-queues the
-        site at the end of the tour ("retry" policy, once per site), and
-        falls forward along the itinerary.  Returns ``None`` when there is
-        nowhere left to go — the agent re-lands here, idle, so management
-        operations (retract, guardian recovery) can still reach it.
+        Records the failure in the agent's state and falls forward along the
+        itinerary.  Returns ``None`` when there is nowhere left to go — the
+        agent re-lands here, idle, so management operations (retract,
+        guardian recovery) can still reach it.
         """
         agent.state.setdefault("failed_sites", []).append(failed)
         self.network.tracer.count("sites_skipped")
-        if self.site_failure_policy == "retry" and failed != agent.itinerary.origin:
-            requeued = agent.state.setdefault("requeued_sites", [])
-            if failed not in requeued:
-                requeued.append(failed)
-                stop = next(
-                    (
-                        s
-                        for s in reversed(agent.itinerary.visited())
-                        if s.address == failed
-                    ),
-                    Stop(failed),
-                )
-                agent.itinerary.append(stop)
         while True:
             nxt = agent.itinerary.next_stop()
             if nxt is None:
@@ -756,19 +731,11 @@ class MobileAgentServer:
 
         The checkpoint was taken at the moment the agent *landed* at the
         failed stop, i.e. with the cursor already past it — resuming from it
-        naturally skips the dead site.  Under the "retry" policy the cursor
-        is rewound one stop so the healed site is visited again.
+        naturally skips the dead site.
         """
         data, _, _ = self._checkpoints[agent_id]
         snapshot = self.wire_format.decode(data)
         cls = self.registry.get(snapshot.class_name)
-        itinerary = snapshot.itinerary
-        if (
-            self.site_failure_policy == "retry"
-            and failed_site != self.address
-            and itinerary.cursor > 0
-        ):
-            itinerary.rewind()
         state = snapshot.state
         state["redispatches"] = int(state.get("redispatches", 0)) + 1
         state.setdefault("failed_sites", []).append(failed_site)
@@ -776,7 +743,7 @@ class MobileAgentServer:
             agent_id=snapshot.agent_id,
             owner=snapshot.owner,
             home=snapshot.home,
-            itinerary=itinerary,
+            itinerary=snapshot.itinerary,
             state=state,
         )
         agent.hops = snapshot.hops
@@ -839,10 +806,7 @@ class MobileAgentServer:
             kind = payload["type"]
             try:
                 if kind == "transfer":
-                    if (
-                        self.transfer_intake_limit > 0
-                        and self._inflight_transfers >= self.transfer_intake_limit
-                    ):
+                    if self._inflight_transfers >= self.transfer_intake_limit:
                         # Bounded intake: refuse rather than queue unboundedly;
                         # the sender backs off and retries the dispatch.
                         self.network.tracer.count("mas_transfers_refused")

@@ -239,14 +239,15 @@ class TestDedupTable:
         table.bind("t-1", "tick-1", expires_at=10.0)
         assert table.lookup("t-1") == "tick-1"
 
-    def test_ttl_bounds_gateway_dedup_index(self):
+    def test_ttl_bounds_gateway_dedup_index(self, monkeypatch):
         """End to end: dedup_ttl_s lapses the binding after result expiry.
 
         A retry inside the TTL window dedups onto the original ticket; a
         retry after both the result retention TTL *and* the dedup TTL have
         elapsed dispatches a fresh agent (the index no longer pins it).
         """
-        config = PDAgentConfig(result_ttl_s=5.0, dedup_ttl_s=30.0)
+        monkeypatch.setattr("repro.core.gateway.RESULT_TTL_S", 5.0)
+        config = PDAgentConfig(dedup_ttl_s=30.0)
         dep = build_dep(config=config)
         subscribe(dep)
         handle = deploy(dep, task_id="task-ttl")
@@ -445,14 +446,18 @@ class TestCrashRecovery:
 
 
 class TestResultRetention:
-    def make_dep(self, ttl=5.0):
-        config = PDAgentConfig(selection_policy="first", result_ttl_s=ttl)
+    @pytest.fixture(autouse=True)
+    def short_ttl(self, monkeypatch):
+        monkeypatch.setattr("repro.core.gateway.RESULT_TTL_S", 5.0)
+
+    def make_dep(self):
+        config = PDAgentConfig(selection_policy="first")
         dep = build_dep(seed=41, config=config)
         subscribe(dep)
         return dep
 
     def test_expired_result_is_410_not_404(self):
-        dep = self.make_dep(ttl=5.0)
+        dep = self.make_dep()
         handle = deploy(dep, task_id="ttl-task")
         assert finish(dep, handle).status == "completed"  # first download ok
         dep.sim.run(until=dep.sim.now + 10.0)  # TTL elapses after it
@@ -477,7 +482,7 @@ class TestResultRetention:
         assert not isinstance(exc.value, ResultExpiredError)
 
     def test_workspace_fully_released_after_lifecycle(self):
-        dep = self.make_dep(ttl=5.0)
+        dep = self.make_dep()
         gw = dep.gateway("gw-0")
         handle = deploy(dep, task_id="space-task")
         assert finish(dep, handle).status == "completed"
@@ -488,7 +493,7 @@ class TestResultRetention:
         assert gw.file_directory.tracked() == []
 
     def test_result_survives_until_first_download(self):
-        dep = self.make_dep(ttl=5.0)
+        dep = self.make_dep()
         handle = deploy(dep, task_id="late-reader")
 
         def wait_then_collect():

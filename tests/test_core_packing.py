@@ -50,9 +50,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             PDAgentConfig(selection_policy="psychic")
 
-    def test_bad_probe_size(self):
-        with pytest.raises(ValueError):
-            PDAgentConfig(probe_size=0)
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_watchdog_cannot_be_disabled(self, value):
+        with pytest.raises(ValueError, match="ticket_watchdog_s"):
+            PDAgentConfig(ticket_watchdog_s=value)
 
     def test_unknown_codec_rejected(self):
         with pytest.raises(ValueError, match="codec"):

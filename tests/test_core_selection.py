@@ -98,10 +98,11 @@ class TestSelector:
         dep.sim.run(until=proc)
         assert selector.probes_sent == 6
 
-    def test_threshold_triggers_list_refresh(self):
+    def test_threshold_triggers_list_refresh(self, monkeypatch):
         from dataclasses import replace
 
-        dep = build(policy="nearest", rtt_threshold=0.05)
+        monkeypatch.setattr("repro.core.selection.RTT_THRESHOLD_S", 0.05)
+        dep = build(policy="nearest")
         net = dep.network
         # every gateway farther than the threshold
         for i in range(3):
@@ -166,9 +167,10 @@ class TestReprobeRegressions:
     ``IndexError`` instead of :class:`NoGatewayAvailableError`.
     """
 
-    def test_empty_reprobe_raises_no_gateway(self):
+    def test_empty_reprobe_raises_no_gateway(self, monkeypatch):
         """A probe sweep that comes back empty must not IndexError."""
-        dep = build(policy="nearest", rtt_threshold=1e-6)
+        monkeypatch.setattr("repro.core.selection.RTT_THRESHOLD_S", 1e-6)
+        dep = build(policy="nearest")
         selector = dep.platform("pda").selector
 
         real = selector.probe_all
@@ -189,16 +191,12 @@ class TestReprobeRegressions:
         with pytest.raises(NoGatewayAvailableError):
             dep.sim.run(until=proc)
 
-    def test_probe_sweep_refilters_breaker_open(self):
+    def test_probe_sweep_refilters_breaker_open(self, monkeypatch):
         """A breaker that opens while probes are in flight must be honoured."""
         from dataclasses import replace
 
-        dep = build(
-            policy="nearest",
-            rtt_threshold=1e9,
-            breaker_threshold=1,
-            breaker_cooldown_s=1e9,
-        )
+        monkeypatch.setattr("repro.core.selection.RTT_THRESHOLD_S", 1e9)
+        dep = build(policy="nearest", breaker_cooldown_s=1e9)
         net = dep.network
         # gw-0 is by far the nearest...
         for src, dst in (("gw-0", "backbone"), ("backbone", "gw-0")):
@@ -209,6 +207,7 @@ class TestReprobeRegressions:
                 link = net.link(src, dst)
                 link.spec = replace(link.spec, latency=0.2, jitter=0.0)
         platform = dep.platform("pda")
+        platform.breaker.threshold = 1
         selector = platform.selector
 
         proc = dep.sim.process(selector.refresh_list())
@@ -225,9 +224,10 @@ class TestReprobeRegressions:
         assert chosen != "gw-0"
         assert chosen in ("gw-1", "gw-2")
 
-    def test_threshold_reprobe_still_filters_exclusions(self):
+    def test_threshold_reprobe_still_filters_exclusions(self, monkeypatch):
         """The post-refresh best pick must never be an excluded gateway."""
-        dep = build(policy="nearest", rtt_threshold=1e9)
+        monkeypatch.setattr("repro.core.selection.RTT_THRESHOLD_S", 1e9)
+        dep = build(policy="nearest")
         selector = dep.platform("pda").selector
         proc = dep.sim.process(selector.select(exclude={"gw-0", "gw-1", "gw-2"}))
         with pytest.raises(NoGatewayAvailableError):
@@ -272,10 +272,9 @@ class TestPreferredGateway:
         assert dep.sim.run(until=proc) == "gw-0"
 
     def test_breaker_open_prefer_falls_through_to_policy(self):
-        dep = build(
-            policy="first", breaker_threshold=1, breaker_cooldown_s=1e9
-        )
+        dep = build(policy="first", breaker_cooldown_s=1e9)
         platform = dep.platform("pda")
+        platform.breaker.threshold = 1
         proc = dep.sim.process(platform.selector.refresh_list())
         dep.sim.run(until=proc)
         platform.breaker.record_failure("gw-1")
@@ -348,10 +347,9 @@ class TestMembershipHealth:
         set only — the membership view is authoritative, so a down member
         stays excluded even when every healthy candidate is breaker-open.
         """
-        dep, selector, view = self._build(
-            breaker_threshold=1, breaker_cooldown_s=1e9
-        )
+        dep, selector, view = self._build(breaker_cooldown_s=1e9)
         platform = dep.platform("pda")
+        platform.breaker.threshold = 1
         proc = dep.sim.process(selector.refresh_list())
         dep.sim.run(until=proc)
         view.mark_down("gw-0")

@@ -396,13 +396,11 @@ class TestCollectAnywhere:
 
 
 class TestOwnerCrashMidForward:
-    def test_owner_down_degrades_to_hinted_handoff_then_reconciles(self):
-        config = fleet_config(
-            fleet_claim_timeout_s=1.0,
-            fleet_reconcile_interval_s=2.0,
-            fleet_breaker_cooldown_s=2.0,
-        )
-        dep = build_dep(config=config)
+    def test_owner_down_degrades_to_hinted_handoff_then_reconciles(self, monkeypatch):
+        monkeypatch.setattr("repro.core.fleet.FLEET_CLAIM_TIMEOUT_S", 1.0)
+        monkeypatch.setattr("repro.core.gateway.FLEET_RECONCILE_INTERVAL_S", 2.0)
+        monkeypatch.setattr("repro.core.fleet.FLEET_BREAKER_COOLDOWN_S", 2.0)
+        dep = build_dep()
         subscribe(dep)
         owner, forwarder, third = pick_gateways(dep, "la-task")
         dep.gateway(owner).crash()
@@ -423,18 +421,16 @@ class TestOwnerCrashMidForward:
         assert retry.ticket == handle.ticket
         assert len(dispatched_agents(dep)) == 1
 
-    def test_concurrent_roamers_serialize_through_standby(self):
+    def test_concurrent_roamers_serialize_through_standby(self, monkeypatch):
         """The hinted-handoff upgrade over blind local accept: while the
         owner is down, its ring standby arbitrates, so two concurrent
         roaming retries of one task converge on a single ticket — no
         duplicate agent is ever launched, not even transiently.
         """
-        config = fleet_config(
-            fleet_claim_timeout_s=1.0,
-            fleet_reconcile_interval_s=2.0,
-            fleet_breaker_cooldown_s=3.0,
-        )
-        dep = build_dep(config=config)
+        monkeypatch.setattr("repro.core.fleet.FLEET_CLAIM_TIMEOUT_S", 1.0)
+        monkeypatch.setattr("repro.core.gateway.FLEET_RECONCILE_INTERVAL_S", 2.0)
+        monkeypatch.setattr("repro.core.fleet.FLEET_BREAKER_COOLDOWN_S", 3.0)
+        dep = build_dep()
         subscribe(dep)
         owner, forwarder, third = pick_gateways(dep, "dual-task")
         dep.gateway(owner).crash()
@@ -456,18 +452,16 @@ class TestOwnerCrashMidForward:
         assert len(live) == 1
         assert counters.get("fleet.reconciled", 0) >= 1
 
-    def test_breaker_rechecked_every_claim_round(self):
+    def test_breaker_rechecked_every_claim_round(self, monkeypatch):
         """Satellite fix: the forwarding breaker is consulted *per round*,
         not snapshotted once before the loop — a breaker that trips after
         two refused rounds stops the probing immediately instead of burning
         the remaining attempts against a dead owner.
         """
-        config = fleet_config(
-            fleet_claim_timeout_s=1.0,
-            fleet_claim_attempts=4,
-            fleet_breaker_cooldown_s=60.0,
-        )
-        dep = build_dep(config=config)
+        monkeypatch.setattr("repro.core.fleet.FLEET_CLAIM_TIMEOUT_S", 1.0)
+        monkeypatch.setattr("repro.core.fleet.FLEET_CLAIM_ATTEMPTS", 4)
+        monkeypatch.setattr("repro.core.fleet.FLEET_BREAKER_COOLDOWN_S", 60.0)
+        dep = build_dep()
         subscribe(dep)
         owner, forwarder, third = pick_gateways(dep, "brk-task")
         dep.gateway(owner).crash()
@@ -481,16 +475,14 @@ class TestOwnerCrashMidForward:
         assert handle.ticket
         assert len(dispatched_agents(dep)) == 1
 
-    def test_release_exhaustion_is_counted(self):
+    def test_release_exhaustion_is_counted(self, monkeypatch):
         """Satellite fix: a release that cannot reach the owner retries a
         bounded number of times and then *counts* the failure instead of
         silently leaving the binding to linger until its TTL.
         """
-        config = fleet_config(
-            fleet_release_attempts=2,
-            fleet_release_retry_s=0.5,
-        )
-        dep = build_dep(config=config)
+        monkeypatch.setattr("repro.core.fleet.FLEET_RELEASE_ATTEMPTS", 2)
+        monkeypatch.setattr("repro.core.fleet.FLEET_RELEASE_RETRY_S", 0.5)
+        dep = build_dep()
         owner, forwarder, _ = pick_gateways(dep, "rel-task")
         dep.gateway(owner).crash()
         client = dep.gateway(forwarder).fleet_client
@@ -499,16 +491,13 @@ class TestOwnerCrashMidForward:
         assert counters["fleet.release_failed"] == 1
         assert counters.get("fleet.release_recovered", 0) == 0
 
-    def test_release_retry_recovers_across_restart(self):
+    def test_release_retry_recovers_across_restart(self, monkeypatch):
         """The bounded retry rides out a short owner outage: the second
         attempt lands after the restart and the exhaustion counter stays
         untouched.
         """
-        config = fleet_config(
-            fleet_release_attempts=3,
-            fleet_release_retry_s=1.0,
-        )
-        dep = build_dep(config=config)
+        monkeypatch.setattr("repro.core.fleet.FLEET_RELEASE_RETRY_S", 1.0)
+        dep = build_dep()
         owner, forwarder, _ = pick_gateways(dep, "rec-task")
         gw = dep.gateway(owner)
         gw.crash()

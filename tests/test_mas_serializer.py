@@ -190,20 +190,6 @@ class TestItinerary:
         with pytest.raises(ValueError):
             Itinerary(origin="gw", stops=[], cursor=5)
 
-    def test_rewind_bounds(self):
-        it = Itinerary(origin="gw", stops=[Stop("a"), Stop("b")], cursor=2)
-        it.rewind()
-        assert it.cursor == 1
-        it.rewind(0)
-        assert it.cursor == 1
-        with pytest.raises(ValueError):
-            it.rewind(-1)
-        # Rewinding past the visited count must raise, not silently clamp:
-        # a guardian that over-rewinds would re-run the whole tour.
-        with pytest.raises(ValueError):
-            it.rewind(2)
-        assert it.cursor == 1  # unchanged by the rejected call
-
 
 _stops = st.lists(
     st.builds(
@@ -231,18 +217,6 @@ class TestItineraryProperties:
         assert [s.address for s in back.remaining()] == [
             s.address for s in it.remaining()
         ]
-
-    @settings(max_examples=100, deadline=None)
-    @given(stops=_stops, data=st.data())
-    def test_rewind_inverts_advance(self, stops, data):
-        cursor = data.draw(st.integers(min_value=0, max_value=len(stops)))
-        it = Itinerary(origin="gw", stops=stops, cursor=cursor)
-        n = data.draw(st.integers(min_value=0, max_value=cursor))
-        it.rewind(n)
-        assert it.cursor == cursor - n
-        for _ in range(n):
-            it.advance()
-        assert it.cursor == cursor
 
     @settings(max_examples=50, deadline=None)
     @given(

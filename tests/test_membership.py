@@ -270,12 +270,10 @@ class TestGracefulDrain:
 
 
 class TestFailureDetector:
-    def test_silent_member_marked_down_then_rejoins(self):
-        config = fleet_config(
-            fleet_claim_timeout_s=1.0,
-            fleet_suspicion_timeout_s=3.0,
-            fleet_reconcile_interval_s=2.0,
-        )
+    def test_silent_member_marked_down_then_rejoins(self, monkeypatch):
+        monkeypatch.setattr("repro.core.fleet.FLEET_CLAIM_TIMEOUT_S", 1.0)
+        monkeypatch.setattr("repro.core.gateway.FLEET_RECONCILE_INTERVAL_S", 2.0)
+        config = fleet_config(fleet_suspicion_timeout_s=3.0)
         dep = build_dep(config=config)
         subscribe(dep)
         owner, forwarder, third = pick_gateways(dep, "fd-task")

@@ -469,8 +469,9 @@ class TestProtocolEdges:
         counters = dep.network.tracer.counters
         assert counters["gateway.session_retransmitted_bytes"] == 32
 
-    def test_idle_sessions_are_reaped(self):
-        dep = build_dep(config=session_config(session_ttl_s=5.0))
+    def test_idle_sessions_are_reaped(self, monkeypatch):
+        monkeypatch.setattr("repro.core.session.SESSION_TTL_S", 5.0)
+        dep = build_dep()
         platform = dep.platform("pda")
         open_session(dep, platform, "task-idle", 100)
         dep.sim.run(until=dep.sim.now + 60.0)
@@ -479,10 +480,10 @@ class TestProtocolEdges:
         assert [s.task_id for s in sessions] == ["task-live"]
         assert dep.network.tracer.counters["gateway.session_expired"] == 1
 
-    def test_session_admission_class_is_wired(self):
-        dep = build_dep(
-            config=session_config(gateway_session_workers=1, session_queue_limit=0)
-        )
+    def test_session_admission_class_is_wired(self, monkeypatch):
+        monkeypatch.setattr("repro.core.gateway.SESSION_WORKERS", 1)
+        monkeypatch.setattr("repro.core.gateway.SESSION_QUEUE_LIMIT", 0)
+        dep = build_dep()
         gw = dep.gateway("gw-0")
         from repro.core.errors import GatewayOverloadedError
 
@@ -514,8 +515,9 @@ class TestReconnectPush:
         assert update["service"] == "ebanking"
         assert update["version"] == "2"
 
-    def test_push_queue_is_bounded(self):
-        dep = build_dep(config=session_config(push_queue_limit=3))
+    def test_push_queue_is_bounded(self, monkeypatch):
+        monkeypatch.setattr("repro.core.session.PUSH_QUEUE_LIMIT", 3)
+        dep = build_dep()
         platform = dep.platform("pda")
         subscribe(dep, platform)
         deploy_streaming(dep, platform)
@@ -548,8 +550,9 @@ class TestHopProgressSatellite:
         assert 0 <= info.value.hops_visited <= 2
         assert info.value.hops_remaining <= 2
 
-    def test_adaptive_poll_waits_longer_with_hops_ahead(self):
-        dep = build_dep(config=PDAgentConfig(poll_interval=0.5))
+    def test_adaptive_poll_waits_longer_with_hops_ahead(self, monkeypatch):
+        monkeypatch.setattr("repro.core.platform.POLL_INTERVAL_S", 0.5)
+        dep = build_dep(config=PDAgentConfig())
         platform = dep.platform("pda")
         subscribe(dep, platform)
         txns = make_transactions(["bank-a", "bank-b"], 4)
