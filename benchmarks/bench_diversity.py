@@ -1,17 +1,14 @@
 """Diversity-day benchmark and regression gate.
 
-Two jobs in one file:
-
-* ``test_diversity_*`` — pytest-collectable gates over the diversity
-  experiment at a CI-sized population: same-seed determinism (full
-  replay of arrivals, outcomes and latencies), graceful-degradation
-  (every app class completes its whole slice even though the flash crowd
-  measurably sheds), a non-vacuous flash (devices actually re-timed onto
-  the onset, sheds actually observed), per-class latency sanity (p99
-  finite, positive, and inside the simulated day), and a bounded tail
-  (sheds delay tasks, they must not stall them past the retry window).
-* ``python benchmarks/bench_diversity.py`` — standalone CLI that runs
-  the same gates without pytest (used by the CI benchmark job).
+Pytest-collectable gates over the diversity experiment at a CI-sized
+population: same-seed determinism (full replay of arrivals, outcomes and
+latencies), graceful-degradation (every app class completes its whole
+slice even though the flash crowd measurably sheds), a non-vacuous flash
+(devices actually re-timed onto the onset, sheds actually observed),
+per-class latency sanity (p99 finite, positive, and inside the simulated
+day), and a bounded tail (sheds delay tasks, they must not stall them past
+the retry window).  CI's tests job runs them with
+``python -m pytest -q --benchmark-disable benchmarks/bench_diversity.py``.
 
 Every gate is self-relative and expressed in simulated units, so it is
 exactly reproducible on any machine.
@@ -19,16 +16,7 @@ exactly reproducible on any machine.
 
 from __future__ import annotations
 
-import json
-import os
-import sys
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-from repro.experiments.diversity import (  # noqa: E402
-    DEFAULT_TRAFFIC,
-    run_diversity,
-)
+from repro.experiments.diversity import run_diversity
 
 #: CI population: large enough that the flash crowd overruns the
 #: epicenter gateway's admission layer (sheds are non-vacuous), small
@@ -142,13 +130,3 @@ def test_diversity_gate(emit):
         f"shed(s)/{report['shed_waits']} wait(s), worst p99 "
         f"{report['worst_p99_s']:.2f}s ({report['worst_class']})"
     )
-
-
-# -- standalone CLI (CI) -------------------------------------------------------
-
-if __name__ == "__main__":
-    report = run_gate()
-    print(json.dumps(report, indent=2, sort_keys=True))
-    print(f"flash window: onset t={DEFAULT_TRAFFIC.flash_at:.0f}s, "
-          f"decay {DEFAULT_TRAFFIC.flash_decay_s:.0f}s")
-    print("diversity gate: OK")

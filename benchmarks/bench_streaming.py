@@ -1,17 +1,14 @@
 """Streaming-session benchmark and regression gate.
 
-Two jobs in one file:
-
-* ``test_streaming_*`` — pytest-collectable gates over the streaming
-  experiment: same-seed determinism (full comparison replay), completion
-  under the reference fault schedule, the resume-vs-restart byte claim
-  (streaming retransmits *strictly fewer* bytes than store-and-forward,
-  and the comparison must not be vacuous — the baseline must measurably
-  restart and the streaming run must measurably resume), the
-  time-to-first-result claim, byte-identical final documents, and a
-  bounded chunk-framing overhead on the wire.
-* ``python benchmarks/bench_streaming.py`` — standalone CLI that runs the
-  same gates without pytest (used by the CI benchmark job).
+Pytest-collectable gates over the streaming experiment: same-seed
+determinism (full comparison replay), completion under the reference fault
+schedule, the resume-vs-restart byte claim (streaming retransmits *strictly
+fewer* bytes than store-and-forward, and the comparison must not be
+vacuous — the baseline must measurably restart and the streaming run must
+measurably resume), the time-to-first-result claim, byte-identical final
+documents, and a bounded chunk-framing overhead on the wire.  CI's tests
+job runs them with
+``python -m pytest -q --benchmark-disable benchmarks/bench_streaming.py``.
 
 Every gate is self-relative and expressed in simulated units, so it is
 exactly reproducible on any machine.
@@ -19,13 +16,7 @@ exactly reproducible on any machine.
 
 from __future__ import annotations
 
-import json
-import os
-import sys
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-from repro.experiments.streaming import run_streaming_comparison  # noqa: E402
+from repro.experiments.streaming import run_streaming_comparison
 
 #: Clean-task time-to-first-result ceiling, in simulated seconds from task
 #: start: one GPRS session burst (setup + open handshake + three chunk
@@ -147,11 +138,3 @@ def test_streaming_gate(emit):
         f"{report['ttfr_speedup']:.1f}x / min {report['min_ttfr_s']:.2f}s, "
         f"upload overhead {report['upload_overhead']:.2f}x"
     )
-
-
-# -- standalone CLI (CI) -------------------------------------------------------
-
-if __name__ == "__main__":
-    report = run_gate()
-    print(json.dumps(report, indent=2, sort_keys=True))
-    print("streaming gate: OK")
