@@ -6,8 +6,6 @@ benchmarks time one representative simulated batch each, so regressions in
 any approach's simulation cost are visible separately.
 """
 
-import pytest
-
 from repro.experiments.fig12 import run_fig12
 from repro.experiments.scenario import build_scenario, run_pdagent_batch
 

@@ -77,7 +77,8 @@ def main() -> None:
     proc = sim.process(commute(), name="commuter")
     handle, collect_gw, result = sim.run(until=proc)
 
-    relays = dep.network.tracer.counters.get("gateway_relays", 0)
+    counters = dep.network.telemetry.metrics.snapshot()["counters"]
+    relays = counters.get("gateway_relays", 0)
     print(f"[{sim.now:6.2f}s] collected {result.ticket} via {collect_gw} "
           f"(relayed from {handle.gateway}: {relays} gateway-to-gateway fetch)")
     for txn in result.data["transactions"]:

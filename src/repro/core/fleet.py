@@ -385,14 +385,14 @@ class FleetClient:
         burning the remaining rounds against a dead owner.
         """
         gw = self.gateway
-        tracer = gw.network.tracer
+        metrics = gw.metrics
         owner = self.fleet.owner(task_id)
         for _attempt in range(FLEET_CLAIM_ATTEMPTS):
             owner = self.fleet.owner(task_id)
             if owner == gw.address:
                 return ("local", "", "")
             if self.breaker.is_open(owner):
-                tracer.count("fleet.claim_skipped_breaker_open")
+                metrics.counter("fleet.claim_skipped_breaker_open").inc()
                 break
             outcome = yield from self.claim_at(owner, task_id, ticket_id)
             if outcome is None:
@@ -402,14 +402,14 @@ class FleetClient:
                 # The owner answered under a different epoch: the shared
                 # view has already moved, so the next round re-resolves
                 # ownership instead of trusting a wrong verdict.
-                tracer.count("fleet.claim_stale_epoch")
+                metrics.counter("fleet.claim_stale_epoch").inc()
                 continue
             if verdict == "bound" and winner != ticket_id:
-                tracer.count("fleet.claim_bound")
+                metrics.counter("fleet.claim_bound").inc()
                 return ("bound", winner, agent)
             # "granted", or "bound" to our own ticket (our earlier timed-out
             # claim landed after all): either way the task is ours.
-            tracer.count("fleet.claim_granted")
+            metrics.counter("fleet.claim_granted").inc()
             return ("granted", "", "")
         if owner == gw.address:
             return ("local", "", "")
@@ -452,13 +452,13 @@ class FleetClient:
             # Timed out.  The RPC is left running: the owner's bind is
             # idempotent, so a late grant is harmless.
             self.breaker.record_failure(target)
-            gw.network.tracer.count("fleet.claim_timeout")
+            gw.metrics.counter("fleet.claim_timeout").inc()
             gw._suspect_member(target)
             return None
         ok, payload = fired[rpc]
         if not ok:
             self.breaker.record_failure(target)
-            gw.network.tracer.count("fleet.claim_error")
+            gw.metrics.counter("fleet.claim_error").inc()
             gw._suspect_member(target)
             return None
         self.breaker.record_success(target)
@@ -479,7 +479,7 @@ class FleetClient:
             # This gateway *is* the standby: its own dedup (bound at mint)
             # arbitrates, and it remembers the hint for the owner's return.
             gw._record_handoff_hint(task_id, ticket_id, owner)
-            gw.network.tracer.count("fleet.handoff_local")
+            gw.metrics.counter("fleet.handoff_local").inc()
             return ("handoff", "", "")
         if self.breaker.is_open(standby):
             return None
@@ -490,10 +490,10 @@ class FleetClient:
             return None
         verdict, winner, agent = outcome
         if verdict == "bound" and winner != ticket_id:
-            gw.network.tracer.count("fleet.handoff_bound")
+            gw.metrics.counter("fleet.handoff_bound").inc()
             return ("bound", winner, agent)
         if verdict == "granted":
-            gw.network.tracer.count("fleet.handoff_granted")
+            gw.metrics.counter("fleet.handoff_granted").inc()
             return ("handoff", "", "")
         return None
 
@@ -517,11 +517,11 @@ class FleetClient:
             )
             if ok:
                 if attempt:
-                    gw.network.tracer.count("fleet.release_recovered")
+                    gw.metrics.counter("fleet.release_recovered").inc()
                 return
             if attempt + 1 < FLEET_RELEASE_ATTEMPTS:
                 yield gw.sim.timeout(FLEET_RELEASE_RETRY_S)
-        gw.network.tracer.count("fleet.release_failed")
+        gw.metrics.counter("fleet.release_failed").inc()
 
     def _rpc(
         self, owner: str, path: str, body: bytes, purpose: str

@@ -384,7 +384,7 @@ class AgentDispatchHandler:
                 raise
             ticket.agent_id = agent_id
             gw.storage.tickets.persist(ticket)
-            gw.network.tracer.count("gateway_dispatches")
+            gw.metrics.counter("gateway_dispatches").inc()
             # Background: watch for the agent's completion and build the doc,
             # with a watchdog so a lost agent cannot wedge the ticket.
             gw.sim.process(
@@ -428,6 +428,7 @@ class Gateway:
         storage: Optional[GatewayStorage] = None,
     ) -> None:
         self.network = network
+        self.metrics = network.telemetry.metrics
         self.node = network.node(address)
         self.adapter = adapter
         self.catalog = catalog
@@ -482,7 +483,7 @@ class Gateway:
         #: baseline the overload experiment measures against.
         self.admission = AdmissionController(
             self.sim,
-            metrics=network.telemetry.metrics,
+            metrics=self.metrics,
             node=address,
             enabled=self.config.admission_enabled,
         )
@@ -616,12 +617,12 @@ class Gateway:
         ticket = self.storage.tickets.get(ticket_id)
         if ticket is not None:
             if ticket.status == "superseded" and ticket.superseded_by:
-                self.network.tracer.count("gateway.dedup_hit")
+                self.metrics.counter("gateway.dedup_hit").inc()
                 return ticket.superseded_by, ""
-            self.network.tracer.count("gateway.dedup_hit")
+            self.metrics.counter("gateway.dedup_hit").inc()
             return ticket.ticket_id, ticket.agent_id
         if self._foreign_fleet_ticket(ticket_id):
-            self.network.tracer.count("gateway.dedup_hit")
+            self.metrics.counter("gateway.dedup_hit").inc()
             return ticket_id, ""
         self.dedup.forget(task_id)  # ticket evicted out-of-band; stale index
         return None
@@ -652,7 +653,7 @@ class Gateway:
         self.admission.drop_queued()
         self.agent_creator.forget_nonces()
         self.sessions.on_crash()
-        self.network.tracer.count("gateway_crashes")
+        self.metrics.counter("gateway_crashes").inc()
 
     def restart(self) -> int:
         """Bring the gateway back; recover the dedup index.
@@ -679,7 +680,7 @@ class Gateway:
         if view.state(self.address) != "active":
             view.rejoin(self.address)
         view.record_heartbeat(self.address, self.sim.now)
-        self.network.tracer.count("gateway_restarts")
+        self.metrics.counter("gateway_restarts").inc()
         return rebuilt
 
     def _await_completion(self, ticket: Ticket) -> Generator:
@@ -714,7 +715,7 @@ class Gateway:
             "retriable": True,
         }
         self._finalize_ticket(ticket, error, "failed")
-        self.network.tracer.count("gateway_watchdog_failures")
+        self.metrics.counter("gateway_watchdog_failures").inc()
 
     def _finalize_ticket(self, ticket: Ticket, result: Any, disposition: str) -> None:
         if ticket.status in (
@@ -742,7 +743,7 @@ class Gateway:
         else:
             self.storage.results.put(ticket.ticket_id, ticket.result_frame)
         self.storage.tickets.persist(ticket)
-        self.network.tracer.count(f"gateway_results:{disposition}")
+        self.metrics.counter(f"gateway_results:{disposition}").inc()
         # Reconnect-window push: devices holding an open session learn the
         # outcome on their next contact instead of blind-polling for it.
         self.sessions.notify_result_ready(ticket)
@@ -771,7 +772,7 @@ class Gateway:
         # The partial stream shares the result document's lifetime.
         self.storage.sessions.drop_partials(ticket.ticket_id)
         self.storage.tickets.persist(ticket)
-        self.network.tracer.count("gateway_results_expired")
+        self.metrics.counter("gateway_results_expired").inc()
         self._arm_dedup_expiry(ticket)
 
     def _arm_dedup_expiry(self, ticket: Ticket) -> None:
@@ -790,7 +791,7 @@ class Gateway:
         yield self.sim.timeout(self.config.dedup_ttl_s)
         purged = self.dedup.purge_expired(self.sim.now)
         if purged:
-            self.network.tracer.count("gateway_dedup_expired", purged)
+            self.metrics.counter("gateway_dedup_expired").inc(purged)
 
     # ------------------------------------------------------------ fleet tier
     def _release_fleet_claim(self, ticket: Ticket) -> None:
@@ -839,7 +840,7 @@ class Gateway:
         if ticket.span is not None and ticket.span.open:
             ticket.span.end(status="superseded")
         self.storage.tickets.persist(ticket)
-        self.network.tracer.count("gateway_superseded")
+        self.metrics.counter("gateway_superseded").inc()
 
     def _accept_unreconciled(self, task_id: str, ticket: Ticket, verdict: str) -> None:
         """Dispatch without the owner's verdict; reconcile in the background.
@@ -852,9 +853,9 @@ class Gateway:
         a re-claim.
         """
         self._unreconciled[task_id] = ticket.ticket_id
-        self.network.tracer.count(
+        self.metrics.counter(
             "fleet.handoff_accepts" if verdict == "handoff" else "fleet.local_accepts"
-        )
+        ).inc()
         self.sim.process(
             self._reconcile(task_id, ticket), name=f"fleet-reconcile:{ticket.ticket_id}"
         )
@@ -871,7 +872,7 @@ class Gateway:
             if settled:
                 return
         self._unreconciled.pop(task_id, None)
-        self.network.tracer.count("fleet.reconcile_abandoned")
+        self.metrics.counter("fleet.reconcile_abandoned").inc()
 
     def _settle_reconcile(
         self, task_id: str, ticket: Ticket, verdict: str, winner: str
@@ -879,11 +880,11 @@ class Gateway:
         """Process: apply a re-claim's verdict; True once the task is settled."""
         if verdict in ("granted", "local"):
             self._unreconciled.pop(task_id, None)
-            self.network.tracer.count("fleet.reconciled")
+            self.metrics.counter("fleet.reconciled").inc()
             return True
         if verdict == "bound":
             yield from self._supersede_with_retract(ticket, winner)
-            self.network.tracer.count("fleet.reconciled_superseded")
+            self.metrics.counter("fleet.reconciled_superseded").inc()
             return True
         return False
 
@@ -910,7 +911,7 @@ class Gateway:
         sub = self.directory.subscribe(device_id, code)
         xml = write_bytes(code_to_xml(code, sub.code_id))
         frame = self.security.protect_result(compress(xml, self.config.codec))
-        self.network.tracer.count("gateway_subscriptions")
+        self.metrics.counter("gateway_subscriptions").inc()
         return HttpResponse(200, body=frame, body_size=len(frame))
 
     def _dispatched_response(self, ticket_id: str, agent_id: str) -> HttpResponse:
@@ -922,7 +923,7 @@ class Gateway:
 
     def _shed_response(self, exc: GatewayOverloadedError) -> HttpResponse:
         """Structured load shed: 503 + Retry-After header + XML error doc."""
-        self.network.tracer.count("gateway.shed")
+        self.metrics.counter("gateway.shed").inc()
         retry_after = exc.retry_after
         doc = Element("overloaded", {"retry-after": f"{retry_after:g}"})
         doc.add("reason", text=str(exc))
@@ -958,8 +959,8 @@ class Gateway:
         finally:
             # Per-priority latency histogram (sheds and dedup hits included:
             # what the device experienced, whatever the outcome).
-            self.network.tracer.observe(
-                "gateway.latency:upload", self.sim.now - arrived
+            self.metrics.histogram("gateway.latency:upload").observe(
+                self.sim.now - arrived
             )
 
     def _intake_frame(
@@ -974,7 +975,6 @@ class Gateway:
         session record for a chunked upload); the authoritative id inside
         the PI is re-checked by the dispatch pipeline.
         """
-        tracer = self.network.tracer
         existing = self._dedup_answer(task_id)
         if existing is not None:
             return self._dispatched_response(*existing)
@@ -989,8 +989,8 @@ class Gateway:
             return self._shed_response(exc)
         try:
             yield admission.request
-            tracer.observe(
-                "gateway.queue_wait:upload", self.sim.now - admission.enqueued_at
+            self.metrics.histogram("gateway.queue_wait:upload").observe(
+                self.sim.now - admission.enqueued_at
             )
             # Re-check after the queue wait: an identical retry may have
             # been admitted and dispatched while this one waited.
@@ -1041,7 +1041,6 @@ class Gateway:
             # drain can quiesce them.
             return self._drain_response()
         arrived = self.sim.now
-        tracer = self.network.tracer
         try:
             try:
                 admission = self.admission.try_admit("session")
@@ -1049,9 +1048,8 @@ class Gateway:
                 return self._shed_response(exc)
             try:
                 yield admission.request
-                tracer.observe(
-                    "gateway.queue_wait:session",
-                    self.sim.now - admission.enqueued_at,
+                self.metrics.histogram("gateway.queue_wait:session").observe(
+                    self.sim.now - admission.enqueued_at
                 )
                 rest = req.path[len("/session/") :]
                 op, _, session_id = rest.partition("/")
@@ -1070,7 +1068,7 @@ class Gateway:
             finally:
                 admission.release()
         finally:
-            tracer.observe("gateway.latency:session", self.sim.now - arrived)
+            self.metrics.histogram("gateway.latency:session").observe(self.sim.now - arrived)
 
     def _handle_result(self, req: HttpRequest) -> Generator:
         """§3.3 result collection: GET /result/<ticket-id>.
@@ -1082,7 +1080,6 @@ class Gateway:
         you came back too late), distinct from 404 ("unknown ticket").
         """
         arrived = self.sim.now
-        tracer = self.network.tracer
         try:
             try:
                 admission = self.admission.try_admit("download")
@@ -1124,18 +1121,18 @@ class Gateway:
                     target = origin
                     if self.fleet.view.state(origin) != "active":
                         target = self.fleet.view.successor(origin) or origin
-                        self.network.tracer.count("fleet.collect_rerouted")
+                        self.metrics.counter("fleet.collect_rerouted").inc()
                     resp = yield from self._relay_fetch(target, ticket_id)
                     return resp
                 return self._result_response(ticket_id)
             finally:
                 admission.release()
         finally:
-            tracer.observe("gateway.latency:download", self.sim.now - arrived)
+            self.metrics.histogram("gateway.latency:download").observe(self.sim.now - arrived)
 
     def _follow_supersede(self, ticket: Ticket) -> Generator:
         winner = ticket.superseded_by
-        self.network.tracer.count("gateway_supersede_redirects")
+        self.metrics.counter("gateway_supersede_redirects").inc()
         if not self._foreign_fleet_ticket(winner):
             return self._result_response(winner)
         resp = yield from self._relay_fetch(ticket_origin(winner), winner)
@@ -1272,7 +1269,7 @@ class Gateway:
                 reason=upstream.reason,
                 headers=dict(upstream.headers),
             )
-        self.network.tracer.count("gateway_relays")
+        self.metrics.counter("gateway_relays").inc()
         # The frame is integrity-tagged by the origin gateway; pass through.
         return HttpResponse(
             200, body=upstream.body, body_size=upstream.body_size
@@ -1357,7 +1354,7 @@ class Gateway:
             # longer runs: answering "granted"/"bound" would be a verdict
             # from the wrong owner.  Send the new view; the claimant's next
             # round re-resolves.
-            self.network.tracer.count("fleet.claims_stale")
+            self.metrics.counter("fleet.claims_stale").inc()
             body = claim_reply(
                 "stale", "", epoch=view.epoch, owner=view.owner(task_id)
             )
@@ -1366,7 +1363,7 @@ class Gateway:
             # Hinted handoff aimed at the wrong standby (the view moved
             # under the claimant): refuse rather than arbitrate a task this
             # gateway has no standing for.
-            self.network.tracer.count("fleet.claims_misdirected")
+            self.metrics.counter("fleet.claims_misdirected").inc()
             body = claim_reply(
                 "stale", "", epoch=view.epoch, owner=view.owner(task_id)
             )
@@ -1380,7 +1377,7 @@ class Gateway:
                     existing = local.superseded_by
                 else:
                     agent = local.agent_id
-            self.network.tracer.count("fleet.claims_refused")
+            self.metrics.counter("fleet.claims_refused").inc()
             if on_behalf_of and task_id not in self._handoff_hints:
                 # Make sure the absent owner learns the winner on recovery
                 # even when the winning binding predates the handoff.
@@ -1388,7 +1385,7 @@ class Gateway:
             body = claim_reply("bound", existing, agent)
             return HttpResponse(200, body=body, body_size=len(body))
         self.dedup.bind(task_id, ticket_id)
-        self.network.tracer.count("fleet.claims_granted")
+        self.metrics.counter("fleet.claims_granted").inc()
         if on_behalf_of:
             # Standby grant: remember it for the owner's return, and start
             # probing so recovery is noticed promptly.
@@ -1407,7 +1404,7 @@ class Gateway:
         released = self.dedup.lookup(task_id) == ticket_id
         if released:
             self.dedup.forget(task_id)
-            self.network.tracer.count("fleet.claims_released")
+            self.metrics.counter("fleet.claims_released").inc()
         body = write_bytes(
             Element("releaseack", {"released": "1" if released else "0"})
         )
@@ -1452,7 +1449,7 @@ class Gateway:
         for el in doc:
             self._apply_migrated(el)
             accepted += 1
-        self.network.tracer.count("fleet.migrated_in", accepted)
+        self.metrics.counter("fleet.migrated_in").inc(accepted)
         ack = Element(
             "migrateack",
             {"accepted": str(accepted), "epoch": str(self.fleet.view.epoch)},
@@ -1471,7 +1468,7 @@ class Gateway:
                     task_id, ticket_id, float(expires) if expires else None
                 )
             elif existing != ticket_id:
-                self.network.tracer.count("fleet.migrate_conflicts")
+                self.metrics.counter("fleet.migrate_conflicts").inc()
             return
         if el.tag == "ticket":
             ticket_id = el.require("id")
@@ -1587,7 +1584,7 @@ class Gateway:
         if self.fleet.view.state(member) != "active" or member in self._probing:
             return
         self._probing.add(member)
-        self.network.tracer.count("fleet.suspects")
+        self.metrics.counter("fleet.suspects").inc()
         self.sim.process(
             self._probe_suspect(member), name=f"fleet-probe:{member}:{self.address}"
         )
@@ -1602,11 +1599,11 @@ class Gateway:
                 alive = yield from self._heartbeat_probe(member)
                 if alive:
                     view.record_heartbeat(member, self.sim.now)
-                    self.network.tracer.count("fleet.suspicion_cleared")
+                    self.metrics.counter("fleet.suspicion_cleared").inc()
                     self._replay_hints_for(member)
                     return
                 if self.sim.now >= deadline:
-                    self.network.tracer.count("fleet.marked_down")
+                    self.metrics.counter("fleet.marked_down").inc()
                     view.mark_down(member)
                     return
                 yield self.sim.timeout(FLEET_HEARTBEAT_INTERVAL_S)
@@ -1632,7 +1629,7 @@ class Gateway:
     # ---------------------------------------------------------- hinted handoff
     def _record_handoff_hint(self, task_id: str, ticket_id: str, owner: str) -> None:
         self._handoff_hints[task_id] = (ticket_id, owner)
-        self.network.tracer.count("fleet.hints_recorded")
+        self.metrics.counter("fleet.hints_recorded").inc()
         self._suspect_member(owner)
 
     def _replay_hints_for(self, member: str) -> None:
@@ -1669,13 +1666,13 @@ class Gateway:
                 # The owner knew a different winner all along (durable
                 # index): repoint locally; the hinted ticket's claimant
                 # reconciles itself against the owner.
-                self.network.tracer.count("fleet.hints_conflicted")
+                self.metrics.counter("fleet.hints_conflicted").inc()
                 self.dedup.bind(task_id, winner)
                 local = self.storage.tickets.get(ticket_id)
                 if local is not None:
                     yield from self._supersede_with_retract(local, winner)
             else:
-                self.network.tracer.count("fleet.hints_replayed")
+                self.metrics.counter("fleet.hints_replayed").inc()
 
     # ------------------------------------------------------------ drain protocol
     def drain(self) -> Generator:
@@ -1696,7 +1693,7 @@ class Gateway:
             return 0
         self.draining = True
         view = self.fleet.view
-        self.network.tracer.count("fleet.drains_started")
+        self.metrics.counter("fleet.drains_started").inc()
         view.begin_drain(self.address)
         deadline = self.sim.now + self.config.fleet_drain_timeout_s
         while self.sim.now < deadline:
@@ -1716,7 +1713,7 @@ class Gateway:
             + [task_id for task_id, _, _ in self.dedup.items()]
         )
         view.finish_drain(self.address)
-        self.network.tracer.count("fleet.drains_completed")
+        self.metrics.counter("fleet.drains_completed").inc()
         return migrated
 
     def _migrate_out(self) -> Generator:
@@ -1752,9 +1749,9 @@ class Gateway:
             per_dest, "fleet-migrate", FLEET_MIGRATE_ATTEMPTS, self._migrate_commit
         )
         if migrated:
-            self.network.tracer.count("fleet.migrated_out", migrated)
+            self.metrics.counter("fleet.migrated_out").inc(migrated)
         if failed:
-            self.network.tracer.count("fleet.migrate_failed", failed)
+            self.metrics.counter("fleet.migrate_failed").inc(failed)
         return migrated
 
     def _send_migrate(
@@ -1861,7 +1858,7 @@ class Gateway:
     def _drain_response(self) -> HttpResponse:
         """Structured refusal while draining: 503 + the successor to use."""
         successor = self.fleet.view.successor(self.address)
-        self.network.tracer.count("gateway.drain_refusals")
+        self.metrics.counter("gateway.drain_refusals").inc()
         retry_after = self.config.shed_retry_after_s
         doc = Element(
             "draining", {"successor": successor, "retry-after": f"{retry_after:g}"}
@@ -1926,7 +1923,7 @@ class Gateway:
             per_dest, "fleet-rebalance", 1, commit_move
         )
         if moved:
-            self.network.tracer.count("fleet.rebalanced", moved)
+            self.metrics.counter("fleet.rebalanced").inc(moved)
         return moved
 
 

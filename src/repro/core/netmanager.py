@@ -298,7 +298,7 @@ class NetworkManager:
                         ) from exc
                     self.retries += 1
                     self.retry_log.append((purpose, attempt, delay))
-                    self.network.tracer.count("device_retries")
+                    self.network.telemetry.metrics.counter("device_retries").inc()
                     self._count_retransmit(body, purpose)
                     yield sim.timeout(delay)
                     attempt += 1
@@ -309,7 +309,7 @@ class NetworkManager:
                     # leaving, not busy.  Fail fast (breaker-neutral: the
                     # refusal is deliberate) so the caller's failover
                     # re-selects through the health-aware selector.
-                    self.network.tracer.count("device_drain_redirects")
+                    self.network.telemetry.metrics.counter("device_drain_redirects").inc()
                     raise GatewayOverloadedError(
                         f"{purpose} refused by draining {gateway} "
                         f"(successor {resp.headers['x-fleet-successor']})",
@@ -328,7 +328,7 @@ class NetworkManager:
                         )
                     self.shed_waits += 1
                     self.retry_log.append((purpose, attempt, delay))
-                    self.network.tracer.count("device_shed_waits")
+                    self.network.telemetry.metrics.counter("device_shed_waits").inc()
                     self._count_retransmit(body, purpose)
                     yield sim.timeout(delay)
                     attempt += 1
@@ -372,7 +372,7 @@ class NetworkManager:
         """
         if nbytes > 0:
             self.retransmitted_bytes += nbytes
-            self.network.tracer.count("device_retransmit_bytes", nbytes)
+            self.network.telemetry.metrics.counter("device_retransmit_bytes").inc(nbytes)
 
 
 class SessionChannel:

@@ -26,7 +26,6 @@ from ..compressor import decompress
 from ..crypto import KeyRing
 from ..mas.itinerary import Stop
 from ..mas.serializer import value_from_xml
-from ..telemetry.spans import SpanContext
 from ..xmlcodec import parse_bytes
 from .config import DEFAULT_CONFIG, PDAgentConfig
 from .device_db import DispatchRecord, InternalDatabase, StoredCode

@@ -171,7 +171,7 @@ class GatewaySelector:
                 self.device_address, address, PROBE_SIZE_BYTES
             )
         except NoRouteError:
-            self.network.tracer.count("probes_unreachable")
+            self.network.telemetry.metrics.counter("probes_unreachable").inc()
             return float("inf")
         return rtt
 
@@ -216,7 +216,7 @@ class GatewaySelector:
             redirected = (
                 self.membership.successor(prefer) if self.membership else ""
             )
-            self.network.tracer.count("select.prefer_redirected")
+            self.network.telemetry.metrics.counter("select.prefer_redirected").inc()
             prefer = redirected or None
         skip, entries = self._candidates(exclude)
         if prefer is not None:

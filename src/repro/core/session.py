@@ -111,6 +111,7 @@ class SessionManager:
 
     def __init__(self, gateway: "Gateway") -> None:
         self.gateway = gateway
+        self.metrics = gateway.metrics
         self._counter = itertools.count(
             self.store.max_seq(f"{gateway.address}/s-") + 1
         )
@@ -125,10 +126,6 @@ class SessionManager:
     @property
     def sim(self):
         return self.gateway.sim
-
-    @property
-    def tracer(self):
-        return self.gateway.network.tracer
 
     def open_sessions(self) -> list[SessionRecord]:
         """Live session records (leak audits and experiments)."""
@@ -159,7 +156,7 @@ class SessionManager:
             if now - record.last_contact > SESSION_TTL_S:
                 self.store.delete(record.session_id)
                 self._push.pop(record.session_id, None)
-                self.tracer.count("gateway.session_expired")
+                self.metrics.counter("gateway.session_expired").inc()
 
     def _ticket_for_agent(self, agent_id: str) -> Optional["Ticket"]:
         for ticket in self.gateway.storage.tickets.values():
@@ -209,12 +206,12 @@ class SessionManager:
             # size.  A committed record is never superseded — the dedup
             # short-circuit below answers the existing ticket instead.
             self.store.delete(record.session_id)
-            self.tracer.count("gateway.session_superseded")
+            self.metrics.counter("gateway.session_superseded").inc()
             record = None
         if record is not None:
             self._touch(record)
             next_offset = self._prefix(record.session_id)
-            self.tracer.count("gateway.session_resumes")
+            self.metrics.counter("gateway.session_resumes").inc()
         else:
             # Upload already done in a previous (lost/expired) session?
             existing = self.gateway._dedup_answer(task_id)
@@ -234,7 +231,7 @@ class SessionManager:
             )
             self.store.create(record)
             next_offset = 0
-            self.tracer.count("gateway.session_opens")
+            self.metrics.counter("gateway.session_opens").inc()
         if record.ticket_id:
             # Commit response was lost: re-answer the dispatched ticket.
             ticket = self.gateway.storage.tickets.get(record.ticket_id)
@@ -314,12 +311,12 @@ class SessionManager:
             attrs={"session": session_id, "offset": offset, "bytes": len(req.body)},
         )
         try:
-            self.tracer.count("gateway.session_chunks")
+            self.metrics.counter("gateway.session_chunks").inc()
             if record.ticket_id:
                 # Already committed — the completing chunk's response was
                 # lost and this is its retransmit.
-                self.tracer.count(
-                    "gateway.session_retransmitted_bytes", len(req.body)
+                self.metrics.counter("gateway.session_retransmitted_bytes").inc(
+                    len(req.body)
                 )
                 ticket = self.gateway.storage.tickets.get(record.ticket_id)
                 span.end(status="duplicate")
@@ -341,14 +338,14 @@ class SessionManager:
                 )
             if offset + len(data) <= prefix:
                 # Whole chunk already covered: idempotent ack.
-                self.tracer.count(
-                    "gateway.session_retransmitted_bytes", len(data)
+                self.metrics.counter("gateway.session_retransmitted_bytes").inc(
+                    len(data)
                 )
                 span.end(status="duplicate")
                 return self._chunk_response(record, prefix, complete=False)
             if offset < prefix:
-                self.tracer.count(
-                    "gateway.session_retransmitted_bytes", prefix - offset
+                self.metrics.counter("gateway.session_retransmitted_bytes").inc(
+                    prefix - offset
                 )
                 data = data[prefix - offset:]
             self.store.put_chunk(session_id, prefix, data)
@@ -370,7 +367,7 @@ class SessionManager:
             # Corrupt reassembly (should never happen: the invariant
             # catalogue counts these).  Scrap the session; the device
             # re-opens and uploads afresh.
-            self.tracer.count("gateway.session_digest_mismatch")
+            self.metrics.counter("gateway.session_digest_mismatch").inc()
             self.store.delete(record.session_id)
             self._push.pop(record.session_id, None)
             span.end(status="digest-mismatch")
@@ -390,7 +387,7 @@ class SessionManager:
         record.ticket_id = doc.require_child("ticket").text
         agent_id = doc.require_child("agent").text
         self.store.persist(record)
-        self.tracer.count("gateway.session_commits")
+        self.metrics.counter("gateway.session_commits").inc()
         span.end(status="committed", ticket=record.ticket_id)
         return self._chunk_response(
             record, record.total_bytes, complete=True,
@@ -437,14 +434,14 @@ class SessionManager:
         if ticket is None:
             # Agent unknown here (e.g. crash wiped the ticket): drop — the
             # final document is the authoritative result anyway.
-            self.tracer.count("gateway.session_partials_dropped")
+            self.metrics.counter("gateway.session_partials_dropped").inc()
             return HttpResponse(404, reason=f"no ticket for agent {agent_id!r}")
         seq = len(self.store.partials(ticket.ticket_id)) + 1
         self.store.append_partial(
             ticket.ticket_id,
             {"seq": seq, "site": site, "payload": doc.text, "at": self.sim.now},
         )
-        self.tracer.count("gateway.session_partials")
+        self.metrics.counter("gateway.session_partials").inc()
         self.gateway.network.telemetry.instant(
             "session.partial",
             node=self.gateway.address,
@@ -473,7 +470,7 @@ class SessionManager:
             cursor = int(req.headers.get(PARTIAL_CURSOR_HEADER, "0"))
         except ValueError:
             return HttpResponse(400, reason=f"bad {PARTIAL_CURSOR_HEADER}")
-        self.tracer.count("gateway.session_polls")
+        self.metrics.counter("gateway.session_polls").inc()
         partials: list[dict] = []
         ready = False
         if record.ticket_id:
@@ -508,9 +505,9 @@ class SessionManager:
         queue = self._push.setdefault(session_id, [])
         if len(queue) >= PUSH_QUEUE_LIMIT:
             queue.pop(0)
-            self.tracer.count("gateway.session_push_dropped")
+            self.metrics.counter("gateway.session_push_dropped").inc()
         queue.append(event)
-        self.tracer.count("gateway.session_push")
+        self.metrics.counter("gateway.session_push").inc()
 
     def notify_result_ready(self, ticket: "Ticket") -> None:
         """Queue a result-ready event on the dispatching device's sessions."""
@@ -548,6 +545,6 @@ class SessionManager:
         record = self.store.get(session_id)
         if record is not None:
             self.store.delete(session_id)
-            self.tracer.count("gateway.session_closes")
+            self.metrics.counter("gateway.session_closes").inc()
         self._push.pop(session_id, None)
         return HttpResponse(200, body=b"", body_size=0)

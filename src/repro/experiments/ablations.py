@@ -146,12 +146,13 @@ def run_adapter_ablation(seed: int = 7, n_txns: int = 6) -> list[AdapterRow]:
     for flavour in ("aglets", "voyager"):
         scenario = build_scenario(seed=seed, mas_flavour=flavour)
         metrics = run_pdagent_batch(scenario, n_txns)
+        counters = scenario.network.telemetry.metrics.snapshot()["counters"]
         rows.append(
             AdapterRow(
                 flavour=flavour,
                 completion_time=metrics.completion_time,
                 elapsed_total=metrics.elapsed_total,
-                agent_hops=scenario.network.tracer.counters.get("agent_hops", 0),
+                agent_hops=counters.get("agent_hops", 0),
                 txn_count=len(metrics.result.data["transactions"]),
             )
         )

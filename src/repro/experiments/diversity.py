@@ -479,7 +479,7 @@ def run_diversity(
         collector.add_run(
             label or f"diversity/{n_devices}", deployment.network
         )
-    counters = deployment.network.tracer.counters
+    counters = deployment.network.telemetry.metrics.snapshot()["counters"]
     platforms = [deployment.platform(f"dev-{i}") for i in range(n_devices)]
     for stats in classes.values():
         stats.latencies.sort()

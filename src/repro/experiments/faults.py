@@ -207,7 +207,7 @@ def _install(scenario: EvaluationScenario, schedule: Optional[FaultSchedule]) ->
 
 
 def _collect_counters(scenario: EvaluationScenario) -> dict[str, int]:
-    counters = scenario.network.tracer.counters
+    counters = scenario.network.telemetry.metrics.snapshot()["counters"]
     return {
         "watchdog_failures": counters.get("gateway_watchdog_failures", 0),
         "sites_skipped": counters.get("sites_skipped", 0),

@@ -237,7 +237,7 @@ def _same(*names: str) -> dict[str, str]:
 
 # -- results shared by fleet and churn -----------------------------------------
 
-#: FleetRunResult field -> the tracer counter it reports.
+#: FleetRunResult field -> the registry counter it reports.
 _COUNTERS = {
     "claims_granted": "fleet.claims_granted",
     "claims_bound": "fleet.claim_bound",
@@ -308,7 +308,7 @@ def _fleet_result(
     network = deployment.network
     if collector is not None:
         collector.add_run(label, network)
-    counters = network.tracer.counters
+    counters = network.telemetry.metrics.snapshot()["counters"]
     dispatches, duplicates = count_dispatches(deployment)
     return FleetRunResult(
         mode=mode,

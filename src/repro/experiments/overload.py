@@ -243,7 +243,7 @@ def run_overload(
     sim.run(until=sim.all_of(procs))
     if collector is not None:
         collector.add_run(label or f"overload/{mode}-{n_devices}", network)
-    counters = network.tracer.counters
+    counters = network.telemetry.metrics.snapshot()["counters"]
     dispatches, duplicates = count_dispatches(deployment, (GATEWAY,))
     platforms = [deployment.platform(f"pda-{k}") for k in range(n_devices)]
     return OverloadRunResult(

@@ -21,6 +21,12 @@ Usage (installed as ``pdagent-experiments``)::
 ``--csv DIR`` additionally writes the figure data as CSV files (full
 precision) into ``DIR`` for external plotting.
 
+``--max-n N`` caps a sweep: the transaction counts of fig12 and fig13, the
+largest population of overload, fleet, churn and scale, and the diversity
+day's device count.  The experiments that run no sweep (faults, streaming,
+claims, ablations, extensions) refuse it; ``all --max-n N`` caps the sweeps
+only.
+
 ``--trace PATH`` captures the full telemetry stream (spans, instants,
 fault/connection ledgers, metric series) of every traced experiment run
 into PATH — newline-delimited JSON by default, or the Chrome trace_event
@@ -165,6 +171,9 @@ _EXPERIMENTS = {
     "extensions": lambda args, collector=None: extensions.main(),
 }
 
+#: Experiments with no sweep for --max-n to cap.
+_UNSWEPT = ("faults", "streaming", "claims", "ablations", "extensions")
+
 
 def _write_trace(collector: TraceCollector, path: str, fmt: str) -> None:
     if fmt == "auto":
@@ -211,9 +220,11 @@ def main(argv: list[str] | None = None) -> int:
         "--max-n",
         type=_positive_int,
         default=None,
-        help="cap the transaction sweep at N (smaller, faster runs)",
+        help="cap the sweep at N (smaller, faster runs)",
     )
     args = parser.parse_args(argv)
+    if args.max_n is not None and args.experiment in _UNSWEPT:
+        parser.error(f"--max-n: {args.experiment} runs no sweep to cap")
     if args.csv:
         os.makedirs(args.csv, exist_ok=True)
     collector = TraceCollector() if args.trace else None

@@ -134,7 +134,7 @@ class AgentContext:
 
     def log(self, message: str) -> None:
         """Record a trace line attributed to this agent."""
-        self._server.network.tracer.count(f"agent_log:{self._agent.agent_id}")
+        self._server.metrics.counter(f"agent_log:{self._agent.agent_id}").inc()
         self._server.agent_logs.setdefault(self._agent.agent_id, []).append(
             (self.sim.now, self.here, message)
         )

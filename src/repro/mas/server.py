@@ -139,6 +139,7 @@ class MobileAgentServer:
         from .adapters import AgletsWireFormat  # default flavour
 
         self.network = network
+        self.metrics = network.telemetry.metrics
         self.node = network.node(address)
         self.registry = registry
         self.port = port
@@ -256,7 +257,7 @@ class MobileAgentServer:
             self.sim.process(
                 self._guardian(agent.agent_id), name=f"mas-guardian:{agent.agent_id}"
             )
-        self.network.tracer.count("agents_created")
+        self.metrics.counter("agents_created").inc()
         return agent
 
     def clone_agent(self, agent_id: str) -> MobileAgent:
@@ -281,7 +282,7 @@ class MobileAgentServer:
         )
         clone.trace_ctx = source.trace_ctx
         self._land(clone, autostart=True)
-        self.network.tracer.count("agents_cloned")
+        self.metrics.counter("agents_cloned").inc()
         return clone
 
     def dispose_agent(self, agent_id: str) -> None:
@@ -290,7 +291,7 @@ class MobileAgentServer:
         if agent.lifecycle is AgentState.ACTIVE:
             raise AgentBusyError(f"{agent_id!r} is executing; cannot dispose")
         self._remove(agent, AgentState.DISPOSED)
-        self.network.tracer.count("agents_disposed")
+        self.metrics.counter("agents_disposed").inc()
 
     def agent_status(self, agent_id: str) -> str:
         """Lifecycle of a resident, deactivated, or home-tracked agent."""
@@ -322,7 +323,7 @@ class MobileAgentServer:
         self._deactivated[agent_id] = data
         self._agents.pop(agent_id, None)
         agent.lifecycle = AgentState.DEACTIVATED
-        self.network.tracer.count("agents_deactivated")
+        self.metrics.counter("agents_deactivated").inc()
         return len(data)
 
     def activate_agent(self, agent_id: str) -> MobileAgent:
@@ -344,7 +345,7 @@ class MobileAgentServer:
         self._agents[agent.agent_id] = agent
         agent._location_is_home = agent.home == self.address
         agent.lifecycle = AgentState.IDLE
-        self.network.tracer.count("agents_activated")
+        self.metrics.counter("agents_activated").inc()
         return agent
 
     # -- completion -----------------------------------------------------------
@@ -370,7 +371,7 @@ class MobileAgentServer:
         event = self._completion_events.get(agent.agent_id)
         if event is not None and not event.triggered:
             event.succeed(result)
-        self.network.tracer.count("agents_completed")
+        self.metrics.counter("agents_completed").inc()
         self.network.telemetry.instant(
             "agent.complete",
             node=self.address,
@@ -442,7 +443,7 @@ class MobileAgentServer:
         """Home-side: remember the agent's latest wire form and whereabouts."""
         self._checkpoints[agent_id] = (data, location, self.sim.now)
         self._progress[agent_id] = self._progress.get(agent_id, 0) + 1
-        self.network.tracer.count("agent_checkpoints")
+        self.metrics.counter("agent_checkpoints").inc()
 
     def _run_behaviour(self, agent: MobileAgent) -> Generator:
         agent.lifecycle = AgentState.ACTIVE
@@ -471,7 +472,7 @@ class MobileAgentServer:
             except InterruptException:
                 # Killed mid-migration (host crash): the in-flight copy is
                 # gone; recovery, if any, is the home guardian's job.
-                self.network.tracer.count("agents_killed_in_flight")
+                self.metrics.counter("agents_killed_in_flight").inc()
             return
         except CompleteSignal as signal:
             span.end(outcome="complete")
@@ -480,7 +481,7 @@ class MobileAgentServer:
         except DisposeSignal:
             span.end(outcome="dispose")
             self._remove(agent, AgentState.DISPOSED)
-            self.network.tracer.count("agents_disposed")
+            self.metrics.counter("agents_disposed").inc()
             return
         except InterruptException as exc:
             if exc.cause == "node-crash":
@@ -492,7 +493,7 @@ class MobileAgentServer:
             # current execution; the agent stays resident and idle so the
             # pending management operation can take it.
             agent.lifecycle = AgentState.IDLE
-            self.network.tracer.count("agents_preempted")
+            self.metrics.counter("agents_preempted").inc()
             span.end(status="preempted", outcome="preempted")
             return
         finally:
@@ -557,7 +558,7 @@ class MobileAgentServer:
                     yield from self._attempt_transfer(agent, dest)
                     return
                 except (TransportError, NoRouteError, MigrationError):
-                    self.network.tracer.count("migration_failures")
+                    self.metrics.counter("migration_failures").inc()
             dest = self._strike_site(agent, dest)
             if dest is None:
                 return
@@ -587,7 +588,7 @@ class MobileAgentServer:
             raise MigrationError(
                 f"{destination} refused agent {agent.agent_id}: {ack!r}"
             )
-        self.network.tracer.count("agent_hops")
+        self.metrics.counter("agent_hops").inc()
 
     def _transfer_exchange(
         self, agent_id: str, destination: str, data: bytes, wire_size: int
@@ -627,7 +628,7 @@ class MobileAgentServer:
         guardian recovery) can still reach it.
         """
         agent.state.setdefault("failed_sites", []).append(failed)
-        self.network.tracer.count("sites_skipped")
+        self.metrics.counter("sites_skipped").inc()
         while True:
             nxt = agent.itinerary.next_stop()
             if nxt is None:
@@ -641,7 +642,7 @@ class MobileAgentServer:
         if candidate == self.address or candidate == failed:
             agent.lifecycle = AgentState.IDLE
             self._land(agent, autostart=False)
-            self.network.tracer.count("agents_stranded")
+            self.metrics.counter("agents_stranded").inc()
             return None
         return candidate
 
@@ -696,11 +697,11 @@ class MobileAgentServer:
                 if alive:
                     continue  # slow site, live agent: do not duplicate it
             if redispatches >= self.max_redispatches:
-                self.network.tracer.count("guardian_gave_up")
+                self.metrics.counter("guardian_gave_up").inc()
                 return
             redispatches += 1
             self._redispatch_from_checkpoint(agent_id, failed_site=location)
-        self.network.tracer.count("guardian_expired")
+        self.metrics.counter("guardian_expired").inc()
 
     def _site_alive(self, address: str) -> Generator:
         """Process: liveness probe — does ``address`` answer an ATP status?"""
@@ -749,7 +750,7 @@ class MobileAgentServer:
         agent.hops = snapshot.hops
         agent.trace_ctx = snapshot.trace
         self._locations[agent_id] = self.address
-        self.network.tracer.count("agents_redispatched")
+        self.metrics.counter("agents_redispatched").inc()
         self._land(agent)
 
     # ------------------------------------------------------------ crash/restart
@@ -772,20 +773,20 @@ class MobileAgentServer:
                     pass
         for agent_id, agent in list(self._agents.items()):
             agent.lifecycle = AgentState.DISPOSED
-            self.network.tracer.count("agents_killed")
+            self.metrics.counter("agents_killed").inc()
         self._agents.clear()
         self._mailboxes.clear()
         self._running.clear()
         self._behaviour_procs.clear()
         self.node.suspend_listeners()
-        self.network.tracer.count("mas_crashes")
+        self.metrics.counter("mas_crashes").inc()
 
     def restart(self) -> None:
         """Bring a crashed site back: listeners resume, durable state intact."""
         if not self.node.crashed:
             return
         self.node.resume_listeners()
-        self.network.tracer.count("mas_restarts")
+        self.metrics.counter("mas_restarts").inc()
 
     def _accept(self, conn) -> None:
         self.sim.process(
@@ -809,7 +810,7 @@ class MobileAgentServer:
                     if self._inflight_transfers >= self.transfer_intake_limit:
                         # Bounded intake: refuse rather than queue unboundedly;
                         # the sender backs off and retries the dispatch.
-                        self.network.tracer.count("mas_transfers_refused")
+                        self.metrics.counter("mas_transfers_refused").inc()
                         reply = {
                             "status": "overloaded",
                             "reason": (
@@ -861,7 +862,7 @@ class MobileAgentServer:
         agent.hops = snapshot.hops + 1
         agent.trace_ctx = snapshot.trace
         self._land(agent)
-        self.network.tracer.count("agents_received")
+        self.metrics.counter("agents_received").inc()
         return {"status": "ok"}
 
     def _handle_retract(self, payload: dict) -> tuple[dict, int]:
@@ -880,7 +881,7 @@ class MobileAgentServer:
             return {"status": "busy"}, 64
         data = self.wire_format.encode(agent)
         self._remove(agent, AgentState.RETRACTED)
-        self.network.tracer.count("agents_retracted")
+        self.metrics.counter("agents_retracted").inc()
         return (
             {"status": "ok", "data": data},
             len(data) + self.wire_format.per_hop_overhead,
@@ -1006,7 +1007,7 @@ class MobileAgentServer:
         except (TransportError, NoRouteError, ConnectionClosed):
             # Lost report (crashed gateway, cut link): the stream simply
             # misses this hop until the final document arrives.
-            self.network.tracer.count("hop_reports_lost")
+            self.metrics.counter("hop_reports_lost").inc()
 
     def hop_progress_of(self, agent_id: str) -> Optional[tuple[int, int]]:
         """``(visited, remaining)`` itinerary counts for an agent, or None.

@@ -188,7 +188,7 @@ class HttpServer:
             if not isinstance(req, HttpRequest):
                 resp = HttpResponse(400, reason="malformed request")
             else:
-                self.network.tracer.count(f"http_requests:{self.node.address}")
+                self.network.telemetry.metrics.counter(f"http_requests:{self.node.address}").inc()
                 if self.service_time > 0:
                     yield self.node.compute(self.service_time)
                 handler = self._resolve(req.path)
@@ -201,7 +201,7 @@ class HttpServer:
                             result = yield from result
                         resp = result
                     except Exception as exc:  # handler bug → 500, not sim crash
-                        self.network.tracer.count("http_500")
+                        self.network.telemetry.metrics.counter("http_500").inc()
                         resp = HttpResponse(500, reason=f"{type(exc).__name__}: {exc}")
             if not isinstance(resp, HttpResponse):
                 raise TypeError(f"handler returned {resp!r}, expected HttpResponse")

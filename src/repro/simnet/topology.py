@@ -62,10 +62,10 @@ class Network:
     ) -> None:
         self.sim = sim if sim is not None else Simulator()
         self.streams = StreamFactory(master_seed)
-        # One span/metric sink per network; the tracer shares the registry so
-        # legacy counters and new spans aggregate in one place.
+        # One span sink and metrics registry per network; the tracer keeps
+        # the connection and fault ledgers and writes its metrics there too.
         self.telemetry = Telemetry(self.sim)
-        self.tracer = Tracer(self.sim, metrics=self.telemetry.metrics)
+        self.tracer = Tracer(self.sim, self.telemetry.metrics)
         self._nodes: dict[str, Node] = {}
         self._links: dict[tuple[str, str], Link] = {}
         self._graph = nx.DiGraph()
@@ -311,7 +311,7 @@ class Network:
         delay, _ = self.sample_path_delay(dgram.src, dgram.dst, dgram.size)
         yield self.sim.timeout(delay)
         self.node(dgram.dst).datagrams.put(dgram)
-        self.tracer.count("datagrams_delivered")
+        self.telemetry.metrics.counter("datagrams_delivered").inc()
 
     def ping(self, src: str, dst: str, size: int = 1) -> Generator:
         """Process: measure one RTT ``src`` → ``dst`` → ``src`` (returns seconds).

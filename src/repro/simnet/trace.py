@@ -1,4 +1,4 @@
-"""Metric collection: counters, time series, and the connection ledger.
+"""The connection and fault ledgers, and sampled time series.
 
 The connection ledger is the measurement backbone of the reproduction: the
 paper's headline metric, *internet connection time*, is the total wall-clock
@@ -67,20 +67,17 @@ class _Series:
 
 
 class Tracer:
-    """Per-network metric sink.
+    """Per-network ledgers: connections, injected faults, sampled series.
 
-    Since the telemetry subsystem landed, the tracer doubles as a compat
-    shim: every ``count``/``record`` call is mirrored into the shared
-    :class:`~repro.telemetry.metrics.MetricsRegistry` (counters, and
-    histograms for distribution summaries) so existing call sites feed the
-    new aggregation layer without changing.  The ``counters`` defaultdict
-    keeps its original read semantics — unknown names read as 0.
+    Counters and histograms live in the network's
+    :class:`~repro.telemetry.metrics.MetricsRegistry`; the tracer writes its
+    own there too (``fault:<kind>``, ``connections_truncated``,
+    ``connection.open_s`` and a histogram per recorded series).
     """
 
-    def __init__(self, sim: "Simulator", metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, sim: "Simulator", metrics: MetricsRegistry) -> None:
         self.sim = sim
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.counters: dict[str, int] = defaultdict(int)
+        self._metrics = metrics
         self._series: dict[str, _Series] = defaultdict(_Series)
         self.connections: list[ConnectionRecord] = []
         # The same records split by initiator, in ledger order, so the
@@ -88,38 +85,14 @@ class Tracer:
         self._connections_by: dict[str, list[ConnectionRecord]] = defaultdict(list)
         self.faults: list[FaultRecord] = []
         self._next_conn_id = 0
-        # Instrument caches: count()/observe() run per message/event, and a
-        # cached instrument skips the registry's name-collision checks.
-        self._counter_cache: dict[str, object] = {}
-        self._hist_cache: dict[str, object] = {}
 
-    # -- counters / series -----------------------------------------------------
-    def count(self, name: str, n: int = 1) -> None:
-        """Increment counter ``name`` by ``n``."""
-        self.counters[name] += n
-        counter = self._counter_cache.get(name)
-        if counter is None:
-            counter = self._counter_cache[name] = self.metrics.counter(name)
-        counter.inc(n)
-
+    # -- series ----------------------------------------------------------------
     def record(self, name: str, value: float) -> None:
-        """Append ``(now, value)`` to time series ``name``."""
+        """Append ``(now, value)`` to time series ``name`` and its histogram."""
         series = self._series[name]
         series.times.append(self.sim.now)
         series.values.append(float(value))
-        self.observe(name, value)
-
-    def observe(self, name: str, value: float) -> None:
-        """Feed ``value`` into histogram ``name`` without keeping the sample.
-
-        Unlike :meth:`record`, nothing is stored per-sample — use this for
-        high-frequency measurements (per-message byte counts) where the
-        bucketed summary is enough.
-        """
-        hist = self._hist_cache.get(name)
-        if hist is None:
-            hist = self._hist_cache[name] = self.metrics.histogram(name)
-        hist.observe(value)
+        self._metrics.histogram(name).observe(value)
 
     def series(self, name: str) -> tuple[list[float], list[float]]:
         """Return ``(times, values)`` for series ``name`` (empty if unknown)."""
@@ -133,7 +106,7 @@ class Tracer:
         """Record an injected fault event at the current simulated time."""
         record = FaultRecord(at=self.sim.now, kind=kind, target=target, detail=detail)
         self.faults.append(record)
-        self.count(f"fault:{kind}")
+        self._metrics.counter(f"fault:{kind}").inc()
         return record
 
     # -- connection ledger -----------------------------------------------------
@@ -155,7 +128,7 @@ class Tracer:
         if record.closed_at is not None:
             raise ValueError(f"connection {record.conn_id} already closed")
         record.closed_at = self.sim.now
-        self.metrics.histogram("connection.open_s").observe(record.duration())
+        self._metrics.histogram("connection.open_s").observe(record.duration())
 
     def connection_time(self, initiator: str, since: float = 0.0) -> float:
         """Total open time of connections initiated by ``initiator``.
@@ -201,16 +174,5 @@ class Tracer:
                 rec.truncated = True
                 closed += 1
         if closed:
-            self.count("connections_truncated", closed)
+            self._metrics.counter("connections_truncated").inc(closed)
         return closed
-
-    def reset(self) -> None:
-        """Clear all metrics (ledger, counters, series)."""
-        self.counters.clear()
-        self._series.clear()
-        self.connections.clear()
-        self._connections_by.clear()
-        self.faults.clear()
-        self._counter_cache.clear()
-        self._hist_cache.clear()
-        self.metrics.reset()

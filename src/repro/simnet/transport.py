@@ -177,8 +177,9 @@ class Connection:
             self.record.bytes_sent += wire_size
         else:
             self.record.bytes_received += wire_size
-        self.network.tracer.count("messages_delivered")
-        self.network.tracer.observe("transport.message_bytes", wire_size)
+        metrics = self.network.telemetry.metrics
+        metrics.counter("messages_delivered").inc()
+        metrics.histogram("transport.message_bytes").observe(wire_size)
         return message
 
     def close(self, closer: Optional[str] = None) -> None:
@@ -191,7 +192,7 @@ class Connection:
             # a suspended transfer's socket closing as it is collected.
             return
         self.network.tracer.close_connection(self.record)
-        self.network.tracer.count("connections_closed")
+        self.network.telemetry.metrics.counter("connections_closed").inc()
         # EOF to both inboxes so blocked receivers wake up.
         self.initiator_socket._inbox.put(_CLOSE)
         self.responder_socket._inbox.put(_CLOSE)
@@ -237,9 +238,9 @@ def connect(
     listener = dst_node.listener(port)
     if listener is None:
         network.tracer.close_connection(record)
-        network.tracer.count("connections_refused")
+        network.telemetry.metrics.counter("connections_refused").inc()
         raise ConnectionRefused(f"no listener on {dst}:{port}")
-    network.tracer.count("connections_opened")
+    network.telemetry.metrics.counter("connections_opened").inc()
     conn = Connection(network, src, dst, record, max_retries=max_retries)
     listener(conn)
     return conn.initiator_socket

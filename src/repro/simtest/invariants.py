@@ -483,7 +483,8 @@ def check_session_stream(ctx: RunContext) -> Iterable[Violation]:
     and a gateway stream reclaimed with an expired/disposed result document
     excuses a shorter authoritative list.
     """
-    mismatches = ctx.tracer.counters.get("gateway.session_digest_mismatch", 0)
+    counters = ctx.deployment.network.telemetry.metrics.snapshot()["counters"]
+    mismatches = counters.get("gateway.session_digest_mismatch", 0)
     if mismatches:
         yield Violation(
             "session-stream",

@@ -1,9 +1,9 @@
 """Metrics registry: counters, gauges, and fixed-bucket histograms.
 
-The registry is the aggregation backbone of :mod:`repro.telemetry`: every
-:meth:`~repro.simnet.trace.Tracer.count` / ``record`` call and every finished
-span feeds it, so per-phase p50/p95/p99 latencies are available at the end of
-a run without storing every sample.
+The registry is the one metrics store of a run (``network.telemetry.metrics``):
+every layer writes its counters and histograms here, and every finished span
+feeds it, so per-phase p50/p95/p99 latencies are available at the end of a
+run without storing every sample.
 
 Histograms use fixed bucket boundaries (a 1-2-5 decade series by default),
 which bounds memory to ``O(buckets)`` regardless of sample count and keeps
@@ -213,8 +213,3 @@ class MetricsRegistry:
                 k: v.snapshot() for k, v in sorted(self._histograms.items())
             },
         }
-
-    def reset(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()

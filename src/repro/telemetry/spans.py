@@ -149,24 +149,23 @@ class InstantEvent:
 
 
 class Telemetry:
-    """Per-network span/instant sink plus the shared metrics registry.
+    """Per-network span/instant sink plus the network's metrics registry.
 
-    Lives alongside the :class:`~repro.simnet.trace.Tracer` on the
-    :class:`~repro.simnet.topology.Network`; only needs an object exposing
-    ``.now`` (the kernel), so the package stays dependency-free.
+    ``metrics`` is the one store of counters, gauges and histograms: every
+    layer writes there, and the :class:`~repro.simnet.trace.Tracer` beside
+    it on the :class:`~repro.simnet.topology.Network` keeps only ledgers.
+    Only needs an object exposing ``.now`` (the kernel), so the package
+    stays dependency-free.
     """
 
-    def __init__(self, sim: Any, metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, sim: Any) -> None:
         self.sim = sim
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.spans: list[Span] = []
         self.instants: list[InstantEvent] = []
         self._trace_counter = itertools.count(1)
         self._span_counter = itertools.count(1)
         self._roots: dict[str, Span] = {}
-        # span-name -> histogram, saving an f-string + registry lookup per
-        # span end (the per-message hot path at population scale).
-        self._span_hists: dict = {}
 
     # ------------------------------------------------------------ creation
     def new_trace(self) -> str:
@@ -241,11 +240,7 @@ class Telemetry:
 
     # ------------------------------------------------------------ lifecycle
     def _on_span_end(self, span: Span) -> None:
-        hist = self._span_hists.get(span.name)
-        if hist is None:
-            hist = self.metrics.histogram(f"span:{span.name}")
-            self._span_hists[span.name] = hist
-        hist.observe(span.end_time - span.start)
+        self.metrics.histogram(f"span:{span.name}").observe(span.end_time - span.start)
 
     def finalize(self) -> int:
         """End-of-simulation close-out: finish every still-open span.
@@ -263,10 +258,3 @@ class Telemetry:
         if closed:
             self.metrics.counter("spans_truncated").inc(closed)
         return closed
-
-    def reset(self) -> None:
-        """Clear spans/instants (the registry is cleared separately)."""
-        self.spans.clear()
-        self.instants.clear()
-        self._roots.clear()
-        self._span_hists.clear()

@@ -259,7 +259,8 @@ class TestDedupTable:
         assert retry.ticket == handle.ticket  # inside the window: dedup hit
         dep.sim.run(until=dep.sim.now + 60.0)  # dedup TTL elapses
         assert gw.dedup.lookup("task-ttl", now=dep.sim.now) is None
-        assert dep.network.tracer.counters.get("gateway_dedup_expired", 0) >= 1
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters.get("gateway_dedup_expired", 0) >= 1
         fresh = deploy(dep, task_id="task-ttl")
         assert fresh.ticket != handle.ticket  # binding lapsed: fresh dispatch
 
@@ -304,7 +305,7 @@ class TestExactlyOnce:
         platform = dep.platform("pda")
         assert result.status == "completed"
         assert platform.netmanager.retries >= 1  # the storm actually happened
-        counters = dep.network.tracer.counters
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
         assert counters["gateway.dedup_hit"] >= 1
         dispatched = [t for t in dep.gateway("gw-0").tickets() if t.agent_id]
         assert len(dispatched) == 1
@@ -341,7 +342,8 @@ class TestExactlyOnce:
         dispatched = [t for t in dep.gateway("gw-0").tickets() if t.agent_id]
         same_task = [t for t in dispatched if t.task_id == "pda-storm-task"]
         assert len(same_task) == 2  # the duplicate dedup would have prevented
-        assert dep.network.tracer.counters.get("gateway.dedup_hit", 0) == 0
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters.get("gateway.dedup_hit", 0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +375,7 @@ class TestLoadShedding:
         assert finish(dep, h1).status == "completed"
         assert finish(dep, h2).status == "completed"
         assert platform.netmanager.shed_waits >= 1
-        counters = dep.network.tracer.counters
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
         assert counters["gateway.shed"] >= 1
         assert counters.get("device_shed_waits", 0) >= 1
         # A 503 is "busy", not "broken": the breaker must stay quiet.
@@ -435,9 +437,10 @@ class TestCrashRecovery:
         assert handle2.ticket == handle.ticket
         dispatched = [t for t in gw.tickets() if t.agent_id]
         assert len(dispatched) == 1
-        assert dep.network.tracer.counters["gateway.dedup_hit"] >= 1
-        assert dep.network.tracer.counters["gateway_crashes"] == 1
-        assert dep.network.tracer.counters["gateway_restarts"] == 1
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters["gateway.dedup_hit"] >= 1
+        assert counters["gateway_crashes"] == 1
+        assert counters["gateway_restarts"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +468,8 @@ class TestResultRetention:
             finish(dep, handle)
         ticket = dep.gateway("gw-0").ticket(handle.ticket)
         assert ticket.status == "expired"
-        assert dep.network.tracer.counters["gateway_results_expired"] == 1
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters["gateway_results_expired"] == 1
 
     def test_unknown_ticket_is_distinct_error(self):
         dep = self.make_dep()
@@ -528,6 +532,6 @@ class TestMasIntakeBound:
         handle = deploy(dep, task_id="intake-task")
         result = finish(dep, handle)
         assert result.status == "completed"
-        counters = dep.network.tracer.counters
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
         assert counters["mas_transfers_refused"] >= 1
         assert counters.get("migration_failures", 0) >= 1  # refusal retried

@@ -45,7 +45,7 @@ class TestWorkloadGenerators:
 class TestBankServiceAgent:
     def _world(self):
         from repro.mas import AgentClassRegistry, MobileAgentServer
-        from repro.simnet import LinkSpec, Network
+        from repro.simnet import Network
 
         net = Network(master_seed=1)
         net.add_node("bank")

@@ -8,10 +8,7 @@ through the XML codec, and a gateway refuses — typed, breaker-neutral —
 to dispatch an agent whose deadline already passed.
 """
 
-import pytest
-
 from repro.apps.auction import AuctionHouseServiceAgent, auction_service_code, make_lots
-from repro.apps.ridedispatch import RideDispatchAgent
 from repro.apps.auction import AuctionSnipeAgent
 from repro.core import DeploymentBuilder, PIContent, pi_from_xml, write_pi
 from repro.core.errors import DeadlineExpiredError

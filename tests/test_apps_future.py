@@ -1,7 +1,5 @@
 """Tests for the §5 future-work applications: m-commerce and mobile workflow."""
 
-import pytest
-
 from repro.apps.mcommerce import (
     ShoppingAgent,
     VendorServiceAgent,

@@ -191,14 +191,15 @@ class TestReprobeRegressions:
         with pytest.raises(NoGatewayAvailableError):
             dep.sim.run(until=proc)
 
-    def test_probe_sweep_refilters_breaker_open(self, monkeypatch):
-        """A breaker that opens while probes are in flight must be honoured."""
+    @staticmethod
+    def _gw0_nearest(monkeypatch, threshold_s):
+        """A listed nearest-policy platform whose gw-0 is by far the nearest,
+        with a breaker that opens on one failure and never cools down."""
         from dataclasses import replace
 
-        monkeypatch.setattr("repro.core.selection.RTT_THRESHOLD_S", 1e9)
+        monkeypatch.setattr("repro.core.selection.RTT_THRESHOLD_S", threshold_s)
         dep = build(policy="nearest", breaker_cooldown_s=1e9)
         net = dep.network
-        # gw-0 is by far the nearest...
         for src, dst in (("gw-0", "backbone"), ("backbone", "gw-0")):
             link = net.link(src, dst)
             link.spec = replace(link.spec, latency=0.0001, jitter=0.0)
@@ -208,12 +209,16 @@ class TestReprobeRegressions:
                 link.spec = replace(link.spec, latency=0.2, jitter=0.0)
         platform = dep.platform("pda")
         platform.breaker.threshold = 1
+        proc = dep.sim.process(platform.selector.refresh_list())
+        dep.sim.run(until=proc)
+        return dep, platform
+
+    def test_probe_sweep_refilters_breaker_open(self, monkeypatch):
+        """A breaker that opens while probes are in flight must be honoured."""
+        dep, platform = self._gw0_nearest(monkeypatch, 1e9)
         selector = platform.selector
 
-        proc = dep.sim.process(selector.refresh_list())
-        dep.sim.run(until=proc)
-
-        # ... but its circuit breaker trips while the sweep is in flight.
+        # gw-0's circuit breaker trips while the sweep is in flight.
         def trip():
             yield dep.sim.timeout(1e-6)
             platform.breaker.record_failure("gw-0")
@@ -225,13 +230,24 @@ class TestReprobeRegressions:
         assert chosen in ("gw-1", "gw-2")
 
     def test_threshold_reprobe_still_filters_exclusions(self, monkeypatch):
-        """The post-refresh best pick must never be an excluded gateway."""
-        monkeypatch.setattr("repro.core.selection.RTT_THRESHOLD_S", 1e9)
-        dep = build(policy="nearest")
-        selector = dep.platform("pda").selector
-        proc = dep.sim.process(selector.select(exclude={"gw-0", "gw-1", "gw-2"}))
-        with pytest.raises(NoGatewayAvailableError):
-            dep.sim.run(until=proc)
+        """The post-refresh best pick must never be a skipped gateway: every
+        RTT is over the threshold, and gw-0, the nearest, goes breaker-open
+        during the list refresh that the threshold triggers."""
+        dep, platform = self._gw0_nearest(monkeypatch, 1e-6)
+        selector = platform.selector
+        refreshes = selector.list_refreshes
+        real_refresh = selector.refresh_list
+
+        def refresh_then_trip():
+            entries = yield from real_refresh()
+            platform.breaker.record_failure("gw-0")
+            return entries
+
+        selector.refresh_list = refresh_then_trip
+        proc = dep.sim.process(selector.select())
+        chosen = dep.sim.run(until=proc)
+        assert selector.list_refreshes == refreshes + 1
+        assert chosen in ("gw-1", "gw-2")
 
 
 class TestPreferredGateway:
@@ -365,7 +381,8 @@ class TestMembershipHealth:
         dep, selector, view = self._build()
         view.begin_drain("gw-1")
         assert self._select(dep, selector, prefer="gw-1") == "gw-2"
-        assert dep.network.tracer.counters["select.prefer_redirected"] == 1
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters["select.prefer_redirected"] == 1
 
     def test_prefer_down_origin_with_no_successor_falls_to_policy(self):
         dep, selector, view = self._build()
@@ -377,7 +394,5 @@ class TestMembershipHealth:
     def test_healthy_prefer_unaffected(self):
         dep, selector, view = self._build()
         assert self._select(dep, selector, prefer="gw-2") == "gw-2"
-        assert (
-            dep.network.tracer.counters.get("select.prefer_redirected", 0)
-            == 0
-        )
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters.get("select.prefer_redirected", 0) == 0

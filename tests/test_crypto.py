@@ -16,7 +16,6 @@ from repro.crypto import (
     IntegrityError,
     KeyRing,
     KeyVault,
-    PublicKey,
     decrypt_int,
     derive_dispatch_key,
     encrypt_int,

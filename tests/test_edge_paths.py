@@ -6,8 +6,6 @@ import pytest
 from repro.crypto import CryptoError, generate_keypair, seal
 from repro.mas import Itinerary, MobileAgent, deserialize_agent, serialize_agent
 from repro.simnet import (
-    HttpResponse,
-    HttpServer,
     LinkSpec,
     Network,
     TransportError,
@@ -143,7 +141,8 @@ class TestMalformedGatewayInputs:
         resp = self._post(dep, "/pi", PLAIN_MAGIC + md5(frame) + frame)
         assert resp.status == 400
         assert resp.reason.startswith("malformed PI")
-        assert dep.network.tracer.counters.get("http_500", 0) == 0
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters.get("http_500", 0) == 0
 
     def _subscribed_pi(self, dep) -> bytes:
         """A subscribed device's PI document, as the device writes it."""
@@ -179,7 +178,8 @@ class TestMalformedGatewayInputs:
         resp = self._upload_pi(dep, xml.replace(b"acct-main", b"acct-&#xD800;"))
         assert resp.status == 400
         assert resp.reason.startswith("malformed PI")
-        assert dep.network.tracer.counters.get("http_500", 0) == 0
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters.get("http_500", 0) == 0
 
     @pytest.mark.parametrize("depth", [600, 5000])
     def test_over_deep_pi_rejected_400(self, dep, depth):
@@ -191,7 +191,8 @@ class TestMalformedGatewayInputs:
         resp = self._upload_pi(dep, xml.replace(params, deep))
         assert resp.status == 400
         assert resp.reason.startswith("malformed PI")
-        assert dep.network.tracer.counters.get("http_500", 0) == 0
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters.get("http_500", 0) == 0
 
     def test_malformed_subscribe_rejected_400(self, dep):
         resp = self._post(dep, "/subscribe", b"<broken")

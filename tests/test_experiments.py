@@ -266,9 +266,24 @@ def test_max_n_below_one_is_refused(argv, capsys):
     assert "--max-n: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name", ["streaming", "faults", "claims", "ablations", "extensions"]
+)
+def test_max_n_refused_where_nothing_is_swept(name, capsys):
+    """An experiment with no sweep refuses the cap instead of silently
+    running at full size."""
+    from repro.experiments.runner import main
+
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--max-n", "6"])
+    assert exc.value.code == 2
+    assert f"--max-n: {name} runs no sweep to cap" in capsys.readouterr().err
+
+
 #: experiment -> sha256 of (its CSV file if it writes one, the --trace JSONL,
-#: stdout without the [csv]/[trace] path lines) for ``runner <name> --max-n 6``
-#: at seed 0.  Streaming and faults write no CSV and ignore ``--max-n``.
+#: stdout without the [csv]/[trace] path lines) for ``runner <name>`` at seed
+#: 0, with ``--max-n 6`` for the three population sweeps.  Streaming and
+#: faults write no CSV.
 #: Pinned on Python 3.11: a digest that differs on another interpreter
 #: version is a determinism finding, not a reason to re-pin.
 CAPSTONE_GOLDEN = {
@@ -306,8 +321,8 @@ def test_capstone_cli_matches_golden(name, tmp_path, capsys):
     from repro.experiments.runner import main
 
     trace = tmp_path / "t.jsonl"
-    assert main([name, "--max-n", "6", "--csv", str(tmp_path),
-                 "--trace", str(trace)]) == 0
+    cap = ["--max-n", "6"] if name in ("overload", "fleet", "churn") else []
+    assert main([name, *cap, "--csv", str(tmp_path), "--trace", str(trace)]) == 0
     out = "".join(
         line for line in capsys.readouterr().out.splitlines(True)
         if not line.startswith(("[csv]", "[trace]"))

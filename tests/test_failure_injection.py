@@ -14,7 +14,7 @@ from repro.apps.ebanking import (
     ebanking_service_code,
     make_transactions,
 )
-from repro.core import DeploymentBuilder, PDAgentConfig
+from repro.core import DeploymentBuilder
 from repro.core.errors import GatewayError, NoGatewayAvailableError
 from repro.mas import Stop
 
@@ -126,7 +126,8 @@ class TestLinkOutage:
         ticket = dep.gateway("gw-0").ticket(handle.ticket)
         dep.sim.run(until=ticket.completed)
         assert ticket.status == "completed"
-        assert dep.network.tracer.counters.get("sites_skipped", 0) >= 1
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters.get("sites_skipped", 0) >= 1
         result = drive(dep, platform.collect(handle))
         # only bank-a's transactions executed; bank-b was skipped
         banks = {t["bank"] for t in result.data["transactions"]}

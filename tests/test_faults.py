@@ -94,7 +94,8 @@ class TestFaultScheduleMechanics:
         assert net.route("a", "c") == ["a", "b", "c"]
         kinds = [(f.kind, f.at) for f in net.tracer.faults]
         assert kinds == [("link-down", 1.0), ("link-up", 3.0)]
-        assert net.tracer.counters["fault:link-down"] == 1
+        counters = net.telemetry.metrics.snapshot()["counters"]
+        assert counters["fault:link-down"] == 1
 
     def test_link_degrade_swaps_and_restores_spec(self):
         net = small_network()
@@ -213,7 +214,8 @@ class TestAgentRecovery:
         ticket = dep.gateway("gw-0").ticket(handle.ticket)
         dep.sim.run(until=ticket.completed)
         assert ticket.status == "completed"
-        assert dep.network.tracer.counters["sites_skipped"] >= 1
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters["sites_skipped"] >= 1
         result = drive(dep, platform.collect(handle))
         assert {t["bank"] for t in result.data["transactions"]} == {"bank-a"}
 
@@ -233,9 +235,9 @@ class TestAgentRecovery:
         ticket = dep.gateway("gw-0").ticket(handle.ticket)
         dep.sim.run(until=ticket.completed)
         assert ticket.status == "completed"
-        tracer = dep.network.tracer
-        assert tracer.counters["agents_redispatched"] >= 1
-        assert tracer.counters["agent_checkpoints"] >= 3  # home + both landings
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters["agents_redispatched"] >= 1
+        assert counters["agent_checkpoints"] >= 3  # home + both landings
         result = drive(dep, platform.collect(handle))
         # bank-a's work survived the crash via the checkpoint; bank-b's
         # in-progress work is lost with the site (skip policy).
@@ -260,7 +262,8 @@ class TestAgentRecovery:
         disposition = dep.sim.run(until=ticket.completed)
         assert disposition == "failed"
         assert ticket.status == "failed"
-        assert dep.network.tracer.counters["gateway_watchdog_failures"] == 1
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters["gateway_watchdog_failures"] == 1
         result = drive(dep, platform.collect(handle))
         assert result.status == "failed"
         assert result.data["retriable"] is True

@@ -230,7 +230,8 @@ class TestRoamedRetry:
         h2 = deploy(dep, third, task_id="roam-task")
         assert h2.ticket == h1.ticket
         assert len(dispatched_agents(dep)) == 1
-        assert dep.network.tracer.counters["fleet.claim_bound"] >= 1
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters["fleet.claim_bound"] >= 1
 
     def test_loser_ticket_superseded_with_pointer(self):
         dep = build_dep()
@@ -246,7 +247,8 @@ class TestRoamedRetry:
         assert len(losers) == 1
         assert losers[0].superseded_by == h1.ticket
         assert losers[0].agent_id == ""  # never launched
-        assert dep.network.tracer.counters["gateway_superseded"] == 1
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters["gateway_superseded"] == 1
 
     def test_retry_at_owner_hits_binding_directly(self):
         dep = build_dep()
@@ -256,14 +258,16 @@ class TestRoamedRetry:
         h2 = deploy(dep, owner, task_id="owner-task")
         assert h2.ticket == h1.ticket
         assert len(dispatched_agents(dep)) == 1
-        assert dep.network.tracer.counters["gateway.dedup_hit"] >= 1
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters["gateway.dedup_hit"] >= 1
 
     def test_owner_handler_refuses_second_claimant(self):
         dep = build_dep()
         subscribe(dep)
         deploy(dep, pick_gateways(dep, "ref-task")[1], task_id="ref-task")
         deploy(dep, pick_gateways(dep, "ref-task")[2], task_id="ref-task")
-        assert dep.network.tracer.counters["fleet.claims_refused"] >= 1
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters["fleet.claims_refused"] >= 1
 
     def test_fleet_disabled_still_single_gateway_dedup(self):
         config = fleet_config(fleet_enabled=False, storage_backend="memory")
@@ -345,7 +349,8 @@ class TestCollectAnywhere:
         dep.sim.run(until=ticket_of(dep, h2.ticket).completed)
         result = drive(dep, dep.platform("pda").collect(h2, via=third))
         assert result.status == "completed"
-        assert dep.network.tracer.counters["gateway_relays"] >= 1
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters["gateway_relays"] >= 1
 
     def test_superseded_collect_redirects_to_winner(self):
         dep = build_dep()
@@ -370,7 +375,8 @@ class TestCollectAnywhere:
             ),
         )
         assert frame
-        assert dep.network.tracer.counters["gateway_supersede_redirects"] >= 1
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters["gateway_supersede_redirects"] >= 1
 
     def test_collect_across_owner_crash_restart(self):
         dep = build_dep()
@@ -405,7 +411,7 @@ class TestOwnerCrashMidForward:
         owner, forwarder, third = pick_gateways(dep, "la-task")
         dep.gateway(owner).crash()
         handle = deploy(dep, forwarder, task_id="la-task")
-        counters = dep.network.tracer.counters
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
         # The owner's ring standby arbitrated the claim instead of a blind
         # local accept — and the claim stays on the reconcile ledger.
         assert counters["fleet.handoff_accepts"] == 1
@@ -415,6 +421,7 @@ class TestOwnerCrashMidForward:
         dep.gateway(owner).restart()
         # The background reconciler re-claims once the owner is back.
         dep.sim.run(until=dep.sim.now + 10.0)
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
         assert counters.get("fleet.reconciled", 0) >= 1
         # The owner now redirects roamed retries to the reconciled ticket.
         retry = deploy(dep, third, task_id="la-task")
@@ -438,7 +445,7 @@ class TestOwnerCrashMidForward:
         h2 = deploy(dep, third, task_id="dual-task")
         assert h1.ticket == h2.ticket  # the standby serialized both claims
         assert len(dispatched_agents(dep)) == 1
-        counters = dep.network.tracer.counters
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
         assert counters["fleet.handoff_accepts"] >= 1
         dep.gateway(owner).restart()
         dep.sim.run(until=dep.sim.now + 30.0)
@@ -450,6 +457,7 @@ class TestOwnerCrashMidForward:
             and t.status not in ("failed", "superseded")
         ]
         assert len(live) == 1
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
         assert counters.get("fleet.reconciled", 0) >= 1
 
     def test_breaker_rechecked_every_claim_round(self, monkeypatch):
@@ -466,7 +474,7 @@ class TestOwnerCrashMidForward:
         owner, forwarder, third = pick_gateways(dep, "brk-task")
         dep.gateway(owner).crash()
         handle = deploy(dep, forwarder, task_id="brk-task")
-        counters = dep.network.tracer.counters
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
         # Two refused rounds trip the breaker; rounds three and four are
         # skipped (the old code would have shown four errors, no skip).
         assert counters["fleet.claim_error"] == 2
@@ -487,7 +495,7 @@ class TestOwnerCrashMidForward:
         dep.gateway(owner).crash()
         client = dep.gateway(forwarder).fleet_client
         drive(dep, client.release("rel-task", f"{forwarder}/t-9"))
-        counters = dep.network.tracer.counters
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
         assert counters["fleet.release_failed"] == 1
         assert counters.get("fleet.release_recovered", 0) == 0
 
@@ -504,7 +512,7 @@ class TestOwnerCrashMidForward:
         dep.sim.process(_restart_later(dep, gw, 0.5), name="test-restart")
         client = dep.gateway(forwarder).fleet_client
         drive(dep, client.release("rec-task", f"{forwarder}/t-9"))
-        counters = dep.network.tracer.counters
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
         assert counters.get("fleet.release_failed", 0) == 0
         assert counters["fleet.release_recovered"] == 1
 

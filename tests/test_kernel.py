@@ -7,10 +7,8 @@ import pytest
 from repro.simnet.kernel import Simulator
 from repro.simnet.primitives import (
     AllOf,
-    AnyOf,
     Event,
     InterruptException,
-    Timeout,
 )
 
 

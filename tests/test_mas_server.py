@@ -6,9 +6,7 @@ import pytest
 from repro.mas import (
     AgentBusyError,
     AgentClassRegistry,
-    AgentContext,
     AgentState,
-    AgentLifecycleError,
     AgletsWireFormat,
     Itinerary,
     MobileAgent,
@@ -145,8 +143,9 @@ class TestLifecycle:
         assert result == ["site-1", "site-2"]
         # migration accounting: home->1->2->home
         net.sim.run()
-        assert net.tracer.counters["agent_hops"] == 3
-        assert net.tracer.counters["agents_received"] == 3
+        counters = net.telemetry.metrics.snapshot()["counters"]
+        assert counters["agent_hops"] == 3
+        assert counters["agents_received"] == 3
 
     def test_unknown_class_create_raises(self):
         net, reg, servers = make_world()

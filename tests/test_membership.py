@@ -192,7 +192,7 @@ class TestGracefulDrain:
         # An explicitly named draining gateway refuses with the hint...
         with pytest.raises(GatewayError):
             deploy(dep, "gw-0", task_id="refused-task")
-        counters = dep.network.tracer.counters
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
         assert counters["gateway.drain_refusals"] >= 1
         assert counters["device_drain_redirects"] >= 1
         # ...and the health-aware selector routes fresh traffic around it.
@@ -216,7 +216,7 @@ class TestGracefulDrain:
         assert migrated >= 1
         view = dep.fleet.view
         assert view.drains_completed and view.drains_completed[0][0] == forwarder
-        counters = dep.network.tracer.counters
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
         assert counters["fleet.migrated_out"] >= 1
         assert counters["fleet.drains_completed"] == 1
         # The origin is gone, but the result survives at its successor and
@@ -257,7 +257,8 @@ class TestGracefulDrain:
         gw.restart()  # rejoin: a new epoch; peers rebalance
         dep.sim.run(until=dep.sim.now + 5.0)
         assert dep.fleet.view.state(forwarder) == "active"
-        assert dep.network.tracer.counters["fleet.rebalanced"] >= 1
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters["fleet.rebalanced"] >= 1
         # The ticket is home again: collect at the origin, no relay needed.
         assert gw.storage.tickets.get(handle.ticket) is not None
         result = drive(dep, dep.platform("pda").collect(handle, via=forwarder))
@@ -282,7 +283,7 @@ class TestFailureDetector:
         view = dep.fleet.view
         dep.sim.run(until=dep.sim.now + 10.0)
         assert view.state(owner) == "down"
-        counters = dep.network.tracer.counters
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
         assert counters["fleet.suspects"] >= 1
         assert counters["fleet.marked_down"] == 1
         assert ("down", owner) in [(r, m) for _, r, m in view.epoch_log]
@@ -316,7 +317,8 @@ class TestFailureDetector:
         assert doc.require("verdict") == "stale"
         assert doc.require("epoch") == str(view.epoch)
         assert doc.findtext("owner") == view.owner("st-task")
-        assert dep.network.tracer.counters["fleet.claims_stale"] == 1
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters["fleet.claims_stale"] == 1
 
     def test_heartbeat_handler_acks_with_epoch_and_state(self):
         dep = build_dep()

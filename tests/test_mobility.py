@@ -2,8 +2,6 @@
 RTT-cache invalidation, nearest-gateway re-discovery after movement, and
 the city-scale route models (commute corridors, hotspots, roaming)."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.device.mobility import (

@@ -5,7 +5,6 @@ collides across distinct inputs."""
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -52,7 +52,8 @@ class TestRelay:
         result = dep.sim.run(until=proc)
         assert result.status == "completed"
         assert len(result.data["transactions"]) == 2
-        assert dep.network.tracer.counters["gateway_relays"] == 1
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters["gateway_relays"] == 1
 
     def test_relay_preserves_integrity(self, dep):
         """The relayed frame verifies against the origin's MD5 tag."""
@@ -93,7 +94,8 @@ class TestRelay:
         proc = dep.sim.process(platform.collect(handle, via="gw-0"))
         result = dep.sim.run(until=proc)
         assert result.status == "completed"
-        assert dep.network.tracer.counters.get("gateway_relays", 0) == 0
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters.get("gateway_relays", 0) == 0
 
     def test_via_autoselect(self, dep):
         platform, handle = dispatch(dep)

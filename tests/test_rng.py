@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simnet.rng import Stream, StreamFactory
+from repro.simnet.rng import StreamFactory
 
 
 class TestStreamFactory:

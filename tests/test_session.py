@@ -274,7 +274,8 @@ class TestStreamingUnderFaults:
         assert platform.netmanager.retransmitted_bytes <= 2 * chunk
         assert session.bytes_sent < len(frame) + 3 * 64
         dep.sim.run(until=dep.gateway("gw-0").ticket(ticket).completed)
-        assert dep.network.tracer.counters["gateway.session_commits"] == 1
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters["gateway.session_commits"] == 1
 
     def test_gateway_restart_sqlite_resumes_from_prefix(self):
         config = session_config(storage_backend="sqlite")
@@ -301,7 +302,8 @@ class TestStreamingUnderFaults:
         # Durable ranges survived: nothing before the crash was re-uploaded
         # beyond at most the chunk in flight plus the resync handshake.
         assert session.bytes_sent <= len(frame) + 2 * 64
-        assert dep.network.tracer.counters["gateway.session_commits"] == 1
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters["gateway.session_commits"] == 1
 
     def test_gateway_restart_memory_restarts_from_zero(self):
         dep = build_dep()  # memory backend: sessions die with the process
@@ -328,7 +330,8 @@ class TestStreamingUnderFaults:
         # over — visible as a reopen plus more than one frame's bytes sent.
         assert session.reopens >= 1
         assert session.bytes_sent > len(frame)
-        assert dep.network.tracer.counters["gateway.session_commits"] == 1
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters["gateway.session_commits"] == 1
 
     def test_epoch_change_resets_partial_cursor(self):
         config = session_config(storage_backend="sqlite")
@@ -440,7 +443,8 @@ class TestProtocolEdges:
         sid = open_session(dep, platform, "task-bad", len(data), digest="0" * 32)
         resp = put_chunk(dep, platform, sid, 0, data)
         assert resp.status == 422
-        assert dep.network.tracer.counters["gateway.session_digest_mismatch"] == 1
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters["gateway.session_digest_mismatch"] == 1
         assert dep.gateway("gw-0").sessions.open_sessions() == []
 
     def test_gap_answers_409_with_resync_offset(self):
@@ -466,7 +470,7 @@ class TestProtocolEdges:
         resp = put_chunk(dep, platform, sid, 32, b"a" * 32 + b"b" * 32)
         assert resp.status == 200
         assert parse_bytes(resp.body).require("next") == "96"
-        counters = dep.network.tracer.counters
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
         assert counters["gateway.session_retransmitted_bytes"] == 32
 
     def test_idle_sessions_are_reaped(self, monkeypatch):
@@ -478,7 +482,8 @@ class TestProtocolEdges:
         open_session(dep, platform, "task-live", 100)
         sessions = dep.gateway("gw-0").sessions.open_sessions()
         assert [s.task_id for s in sessions] == ["task-live"]
-        assert dep.network.tracer.counters["gateway.session_expired"] == 1
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters["gateway.session_expired"] == 1
 
     def test_session_admission_class_is_wired(self, monkeypatch):
         monkeypatch.setattr("repro.core.gateway.SESSION_WORKERS", 1)
@@ -526,7 +531,8 @@ class TestReconnectPush:
         gw = dep.gateway("gw-0")
         queues = list(gw.sessions._push.values())
         assert all(len(q) <= 3 for q in queues)
-        assert dep.network.tracer.counters["gateway.session_push_dropped"] > 0
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters["gateway.session_push_dropped"] > 0
 
 
 # ---------------------------------------------------------------- hop progress

@@ -4,7 +4,6 @@ capacity blocking, against a deque model."""
 from collections import deque
 
 from hypothesis import settings
-from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.simnet.kernel import Simulator

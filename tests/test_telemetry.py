@@ -331,11 +331,3 @@ class TestIntegration:
         bad.write_text(json.dumps({"traceEvents": [{"ph": "Z"}]}))
         assert trace_cli(["validate", str(bad)]) == 1
         assert "INVALID" in capsys.readouterr().out
-
-    def test_tracer_counters_still_work(self):
-        """The legacy Tracer counter API is preserved by the metrics shim."""
-        network = _small_network()
-        counters = network.tracer.counters
-        assert counters["agents_created"] >= 1
-        snap = network.telemetry.metrics.snapshot()
-        assert snap["counters"]["agents_created"] == counters["agents_created"]

@@ -1,4 +1,4 @@
-"""Tests for the tracer (counters/series/ledger edge cases) and the MAS
+"""Tests for the tracer (series/ledger edge cases) and the MAS
 remote-messaging path."""
 
 import random
@@ -16,18 +16,13 @@ from repro.mas import (
 )
 from repro.simnet import LinkSpec, Network
 from repro.simnet.trace import Tracer
+from repro.telemetry import MetricsRegistry
 
 
 class TestTracer:
     @pytest.fixture
     def net(self):
         return Network(master_seed=0)
-
-    def test_counters(self, net):
-        net.tracer.count("x")
-        net.tracer.count("x", 4)
-        assert net.tracer.counters["x"] == 5
-        assert net.tracer.counters["never"] == 0  # defaultdict
 
     def test_series(self, net):
         net.tracer.record("s", 1.0)
@@ -38,15 +33,8 @@ class TestTracer:
         assert times == [0.0, 2.0]
         assert values == [1.0, 3.0]
         assert net.tracer.series("unknown") == ([], [])
-
-    def test_reset(self, net):
-        net.tracer.count("x")
-        net.tracer.record("s", 1.0)
-        net.tracer.open_connection("a", "b")
-        net.tracer.reset()
-        assert not net.tracer.counters
-        assert net.tracer.series("s") == ([], [])
-        assert net.tracer.connections == []
+        hist = net.telemetry.metrics.snapshot()["histograms"]["s"]
+        assert (hist["count"], hist["sum"]) == (2, 4.0)
 
     def test_open_connection_duration_needs_now(self, net):
         rec = net.tracer.open_connection("a", "b")
@@ -72,10 +60,10 @@ class TestTracer:
     def test_ledger_queries_match_full_scan(self):
         """The per-initiator queries answer exactly what a scan of the whole
         ledger does (float sums bit for bit), with ``since`` cut-offs and
-        still-open connections in the mix, before and after a reset."""
+        still-open connections in the mix."""
         rng = random.Random(7)
         clock = SimpleNamespace(now=0.0)
-        tracer = Tracer(clock)
+        tracer = Tracer(clock, MetricsRegistry())
         initiators = ["a", "b", "c", "d"]
 
         def full_scan(initiator, since):
@@ -90,32 +78,28 @@ class TestTracer:
             received = sum(r.bytes_received for r in recs)
             return total, len(recs), (sent, received)
 
-        for _ in range(2):
-            still_open = []
-            for _ in range(400):
-                clock.now += rng.expovariate(10.0)
-                if still_open and rng.random() < 0.45:
-                    rec = still_open.pop(rng.randrange(len(still_open)))
-                    tracer.close_connection(rec)
-                else:
-                    rec = tracer.open_connection(rng.choice(initiators), "peer")
-                    rec.bytes_sent = rng.randrange(10_000)
-                    rec.bytes_received = rng.randrange(10_000)
-                    still_open.append(rec)
-            assert still_open
-            cutoffs = [0.0, clock.now / 2, clock.now + 1.0]
-            cutoffs += [rng.choice(tracer.connections).opened_at for _ in range(5)]
-            for initiator in initiators + ["nobody"]:
-                for since in cutoffs:
-                    got = (
-                        tracer.connection_time(initiator, since),
-                        tracer.connection_count(initiator, since),
-                        tracer.bytes_transferred(initiator, since),
-                    )
-                    assert got == full_scan(initiator, since), (initiator, since)
-            tracer.reset()
-            assert tracer.connection_count("a") == 0
-            assert tracer.connection_time("a") == 0.0
+        still_open = []
+        for _ in range(400):
+            clock.now += rng.expovariate(10.0)
+            if still_open and rng.random() < 0.45:
+                rec = still_open.pop(rng.randrange(len(still_open)))
+                tracer.close_connection(rec)
+            else:
+                rec = tracer.open_connection(rng.choice(initiators), "peer")
+                rec.bytes_sent = rng.randrange(10_000)
+                rec.bytes_received = rng.randrange(10_000)
+                still_open.append(rec)
+        assert still_open
+        cutoffs = [0.0, clock.now / 2, clock.now + 1.0]
+        cutoffs += [rng.choice(tracer.connections).opened_at for _ in range(5)]
+        for initiator in initiators + ["nobody"]:
+            for since in cutoffs:
+                got = (
+                    tracer.connection_time(initiator, since),
+                    tracer.connection_count(initiator, since),
+                    tracer.bytes_transferred(initiator, since),
+                )
+                assert got == full_scan(initiator, since), (initiator, since)
 
 
 class Homebody(MobileAgent):

@@ -37,7 +37,8 @@ class TestTransport:
         with pytest.raises(ConnectionRefused):
             net.sim.run(until=proc)
         # refused connections are still ledgered (the device dialled)
-        assert net.tracer.counters["connections_refused"] == 1
+        counters = net.telemetry.metrics.snapshot()["counters"]
+        assert counters["connections_refused"] == 1
 
     def test_round_trip_message(self):
         net = make_net()
@@ -151,12 +152,12 @@ class TestTransport:
         assert net.tracer.finalize() == 1
         rec = sock.connection.record
         closed_at = rec.closed_at
-        counters = dict(net.tracer.counters)
+        counters = net.telemetry.metrics.snapshot()["counters"]
         net.sim.run(until=net.sim.now + 1.0)
         sock.close()
         assert not sock.connection.is_open
         assert (rec.closed_at, rec.truncated) == (closed_at, True)
-        assert dict(net.tracer.counters) == counters
+        assert net.telemetry.metrics.snapshot()["counters"] == counters
 
 
 class TestHttp:
