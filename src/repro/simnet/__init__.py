@@ -5,7 +5,8 @@ wired Internet + Tomcat gateway host) with a deterministic simulator:
 
 * :mod:`~repro.simnet.kernel` — event loop and generator-based processes;
 * :mod:`~repro.simnet.link` / :mod:`~repro.simnet.topology` — links with
-  latency/bandwidth/jitter/loss/setup models, routing over a networkx graph;
+  latency/bandwidth/jitter/loss/setup models, routing over adjacency maps
+  (networkx is imported only when a route needs a graph search);
 * :mod:`~repro.simnet.transport` — reliable connections with a per-connection
   open-time ledger ("internet connection time" is measured here);
 * :mod:`~repro.simnet.http` — the HTTP request/response layer PDAgent and the

@@ -3,7 +3,9 @@
 The :class:`Network` ties together the kernel, the RNG streams, the node
 table and the link table.  Routes are shortest paths weighted by base link
 latency, computed lazily and cached until the topology changes; single-link
-(leaf) hops at either end are taken without a graph search.
+(leaf) hops at either end are taken without a graph search.  The routing
+graph is two adjacency maps; networkx is imported only when a route needs
+a search, so a star deployment, routed by leaf links alone, never loads it.
 
 Multi-hop transfers are modelled end-to-end: propagation delay is the sum of
 per-link latency samples and serialisation uses the bottleneck (minimum)
@@ -14,9 +16,7 @@ because the evaluation's quantities are dominated by the wireless first hop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Iterable, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Generator, Iterable, Optional
 
 from .kernel import Simulator
 from .link import Link, LinkSpec
@@ -24,6 +24,9 @@ from .node import Node
 from .rng import StreamFactory
 from .trace import Tracer
 from repro.telemetry.spans import Telemetry
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Network", "Datagram", "NoRouteError"]
 
@@ -68,17 +71,23 @@ class Network:
         self.tracer = Tracer(self.sim, self.telemetry.metrics)
         self._nodes: dict[str, Node] = {}
         self._links: dict[tuple[str, str], Link] = {}
-        self._graph = nx.DiGraph()
+        # The routing graph: successors and predecessors of each node, with
+        # the base latency of each link that is up, in insertion order.
+        self._succ: dict[str, dict[str, float]] = {}
+        self._pred: dict[str, dict[str, float]] = {}
         self._routes: dict[tuple[str, str], list[str]] = {}
-        # Derived per-route caches (link objects along the path, bottleneck
-        # bandwidth); invalidated together with _routes on topology change.
+        # Derived caches (link objects along a path, bottleneck bandwidth,
+        # the networkx graph a search runs on); invalidated together with
+        # _routes on topology change.
         self._route_links: dict[tuple[str, str], list[Link]] = {}
         self._bottlenecks: dict[tuple[str, str], float] = {}
+        self._search_graph: Optional[nx.DiGraph] = None
 
     def _invalidate_routes(self) -> None:
         self._routes.clear()
         self._route_links.clear()
         self._bottlenecks.clear()
+        self._search_graph = None
 
     # -- topology construction -------------------------------------------------
     def add_node(self, node: Node | str, kind: str = "host", cpu_factor: float = 1.0) -> Node:
@@ -89,7 +98,8 @@ class Network:
             raise ValueError(f"duplicate node address {node.address!r}")
         node._attach(self)
         self._nodes[node.address] = node
-        self._graph.add_node(node.address)
+        self._succ[node.address] = {}
+        self._pred[node.address] = {}
         return node
 
     def node(self, address: str) -> Node:
@@ -117,7 +127,7 @@ class Network:
         link = Link(src, dst, spec)
         link.attach_stream(self.streams.get(f"link:{src}->{dst}"))
         self._links[(src, dst)] = link
-        self._graph.add_edge(src, dst, weight=spec.latency, link=link)
+        self._succ[src][dst] = self._pred[dst][src] = spec.latency
         self._invalidate_routes()
         return link
 
@@ -130,8 +140,8 @@ class Network:
         if (src, dst) not in self._links:
             raise KeyError(f"no link {src}->{dst}")
         del self._links[(src, dst)]
-        if self._graph.has_edge(src, dst):
-            self._graph.remove_edge(src, dst)
+        self._succ[src].pop(dst, None)
+        self._pred[dst].pop(src, None)
         self._invalidate_routes()
 
     def remove_duplex_link(self, a: str, b: str) -> None:
@@ -157,8 +167,8 @@ class Network:
         link = self.link(src, dst)
         old = link.spec
         link.spec = spec
-        if self._graph.has_edge(src, dst):
-            self._graph[src][dst]["weight"] = spec.latency
+        if dst in self._succ[src]:
+            self._succ[src][dst] = self._pred[dst][src] = spec.latency
         self._invalidate_routes()
         return old
 
@@ -173,9 +183,9 @@ class Network:
             return
         link.up = up
         if up:
-            self._graph.add_edge(src, dst, weight=link.spec.latency, link=link)
+            self._succ[src][dst] = self._pred[dst][src] = link.spec.latency
         else:
-            self._graph.remove_edge(src, dst)
+            del self._succ[src][dst], self._pred[dst][src]
         self._invalidate_routes()
 
     # -- routing ------------------------------------------------------------
@@ -199,15 +209,15 @@ class Network:
 
         While the head of the path has exactly one out-link, or its tail
         exactly one in-link, that link is a bridge every ``src`` -> ``dst``
-        path crosses, so it is taken without a search.  Stars and AP cells
-        are routed by the two walks alone; otherwise the pair left between
-        them costs one ``nx.shortest_path``, cached under its own pair.
-        The spliced path is the one networkx returns for ``src`` -> ``dst``
-        whenever the shortest path is unique, as it is on a tree.  A walk
-        that comes back to a node it peeled is a closed loop short of the
-        other end: no route (None).
+        path crosses, so it is taken without a search.  Star routes are
+        taken by the two walks alone; otherwise (an AP-cell route, say) the
+        pair left between them costs one :meth:`_search`, cached under its
+        own pair.  The spliced path is the one networkx returns for ``src``
+        -> ``dst`` whenever the shortest path is unique, as it is on a tree.
+        A walk that comes back to a node it peeled is a closed loop short of
+        the other end: no route (None).
         """
-        succ, pred = self._graph.succ, self._graph.pred
+        succ, pred = self._succ, self._pred
         head = {src: 0}  # peeled node -> its position on the path
         node = src
         while node != dst and len(succ[node]) == 1:
@@ -230,12 +240,34 @@ class Network:
         core = (core_src, node)
         middle = self._routes.get(core)
         if middle is None:
-            try:
-                middle = nx.shortest_path(self._graph, *core, weight="weight")
-            except nx.NetworkXNoPath:
+            middle = self._search(*core)
+            if middle is None:
                 return None
             self._routes[core] = middle
         return list(head) + middle[1:-1] + list(tail)[::-1]
+
+    def _search(self, src: str, dst: str) -> Optional[list[str]]:
+        """``nx.shortest_path`` weighted by base latency; None if there is none.
+
+        networkx is imported here, on the first search, and the graph it
+        searches is built from the adjacency maps at most once per topology
+        version.  That graph's predecessor lists follow node order, not the
+        order links came up in, which can only change which of two
+        equal-length paths is taken.
+        """
+        import networkx as nx
+
+        graph = self._search_graph
+        if graph is None:
+            graph = self._search_graph = nx.DiGraph()
+            graph.add_nodes_from(self._succ)
+            graph.add_weighted_edges_from(
+                (a, b, w) for a, out in self._succ.items() for b, w in out.items()
+            )
+        try:
+            return nx.shortest_path(graph, src, dst, weight="weight")
+        except nx.NetworkXNoPath:
+            return None
 
     def path_links(self, src: str, dst: str) -> list[Link]:
         """Links along the current route from ``src`` to ``dst``."""

@@ -8,6 +8,11 @@ reassociation, or cache state into the timeline fails loudly.
 """
 
 import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 
@@ -71,6 +76,68 @@ class TestLeafRouting:
         result = run_population(POP, seed=0)
         assert result.tasks_completed == POP
         assert searches == []
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Imports every public package, then runs a star deployment.
+STAR_RUN = """
+import repro, repro.core, repro.apps, repro.baselines, repro.simtest
+import repro.experiments, repro.telemetry
+from repro.experiments.scale import run_population
+
+result = run_population(50, seed=0)
+report = {"completed": result.tasks_completed}
+"""
+
+#: A simtest scenario: its devices sit in AP cells, whose routes search.
+AP_CELL_RUN = """
+from repro.simtest.harness import run_spec
+from repro.simtest.spec import generate
+
+run_spec(generate(0))
+report = {}
+"""
+
+
+def run_fresh(body: str, block_networkx: bool = False) -> dict:
+    """Run ``body`` in a fresh interpreter and return its ``report`` dict,
+    with whether networkx got imported added under ``"networkx"``."""
+    prelude = "import sys\n"
+    if block_networkx:
+        # An import of networkx now raises, as if it were not installed.
+        prelude += 'sys.modules["networkx"] = None\n'
+    epilogue = (
+        "\nimport json\n"
+        'report["networkx"] = sys.modules.get("networkx") is not None\n'
+        "print(json.dumps(report))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", prelude + body + epilogue],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestNetworkxOnDemand:
+    """networkx is imported by the first route that needs a graph search,
+    so a star deployment, routed by leaf links alone, never loads it."""
+
+    def test_star_run_never_imports_networkx(self):
+        assert run_fresh(STAR_RUN) == {"completed": 50, "networkx": False}
+
+    def test_star_run_needs_no_networkx_installed(self):
+        report = run_fresh(STAR_RUN, block_networkx=True)
+        assert report == {"completed": 50, "networkx": False}
+
+    def test_ap_cell_run_imports_networkx(self):
+        """The control: the check does see networkx once a route loads it,
+        so the two star cases cannot pass vacuously."""
+        assert run_fresh(AP_CELL_RUN) == {"networkx": True}
 
 
 class TestScaleHarness:

@@ -234,12 +234,19 @@ class TestDatagramsAndPing:
 def assert_routes_match_networkx(net):
     """Every ordered node pair routes as networkx's weighted shortest path;
     where networkx finds none, ``route`` raises NoRouteError naming both
-    endpoints (the message reaches exported spans)."""
-    nodes = sorted(net._graph)
+    endpoints (the message reaches exported spans).  The oracle builds its
+    graph from the public node and link tables, never from the network's
+    routing maps, so a stale map cannot vouch for itself."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(node.address for node in net.nodes)
+    graph.add_weighted_edges_from(
+        (link.src, link.dst, link.spec.latency) for link in net.links if link.up
+    )
+    nodes = sorted(graph)
     for s in nodes:
         for d in nodes:
             try:
-                expected = nx.shortest_path(net._graph, s, d, weight="weight")
+                expected = nx.shortest_path(graph, s, d, weight="weight")
             except nx.NetworkXNoPath:
                 message = f"^{re.escape(f'no route {s} -> {d}')}$"
                 with pytest.raises(NoRouteError, match=message):
@@ -328,6 +335,30 @@ class TestRoutePins:
         assert_routes_match_networkx(net)
         net.update_link_spec("ap-1", "backbone", link_profile("WAN"))
         net.update_link_spec("gw-1", "backbone", link_profile("GPRS"))
+        assert_routes_match_networkx(net)
+
+    def test_search_follows_topology_changes(self):
+        """Hubs h1 and h2 are joined directly and through m, and each has
+        two leaves, so peeling stops at the hubs and the pair is searched.
+        Each change must reach the next search, not just the route cache."""
+        net = Network()
+        for name in ("h1", "h2", "m", "a1", "a2", "b1", "b2"):
+            net.add_node(name)
+        net.add_duplex_link("h1", "h2", spec(latency=0.01))
+        net.add_duplex_link("h1", "m", spec(latency=0.01))
+        net.add_duplex_link("m", "h2", spec(latency=0.01))
+        for hub, leaves in (("h1", ("a1", "a2")), ("h2", ("b1", "b2"))):
+            for leaf in leaves:
+                net.add_duplex_link(leaf, hub, spec(latency=0.01))
+
+        assert net.route("a1", "b1") == ["a1", "h1", "h2", "b1"]
+        assert_routes_match_networkx(net)
+        net.update_link_spec("h1", "m", spec(latency=0.001))
+        net.update_link_spec("m", "h2", spec(latency=0.001))
+        assert net.route("a1", "b1") == ["a1", "h1", "m", "h2", "b1"]
+        assert_routes_match_networkx(net)
+        net.set_link_state("m", "h2", up=False)
+        assert net.route("a1", "b1") == ["a1", "h1", "h2", "b1"]
         assert_routes_match_networkx(net)
 
     def test_datagram_between_leaf_devices(self):
