@@ -80,7 +80,8 @@ def codec_names() -> list[str]:
 # Frame memo: codecs are stateless pure functions, so identical inputs
 # always produce identical frames — and the platform compresses the *same*
 # service code / agent state for every device in a population sweep.  FIFO
-# eviction bounds memory; correctness does not depend on hit rate.
+# eviction bounds memory; correctness does not depend on hit rate.  Frames
+# asked of the null codec skip it: they cost no encode to rebuild.
 _FRAME_CACHE: dict[tuple[str, bytes], bytes] = {}
 _FRAME_CACHE_MAX = 512
 
@@ -95,13 +96,18 @@ def compress(data: bytes, codec: str = "lzss") -> bytes:
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError(f"compress() wants bytes, got {type(data).__name__}")
     data = bytes(data)
+    if codec == "null":
+        # Framing is the whole job, and a memo entry would hold the bytes
+        # twice.
+        null = get_codec("null")
+        return _HEADER.pack(_MAGIC, null.codec_id, len(data)) + null.encode(data)
     key = (codec, data)
     frame = _FRAME_CACHE.get(key)
     if frame is not None:
         return frame
     chosen = get_codec(codec)
     body = chosen.encode(data)
-    if len(body) >= len(data) and chosen.name != "null":
+    if len(body) >= len(data):
         chosen = get_codec("null")
         body = chosen.encode(data)
     frame = _HEADER.pack(_MAGIC, chosen.codec_id, len(data)) + body

@@ -59,7 +59,6 @@ class Node:
         if self.network is not None and self.network is not network:
             raise RuntimeError(f"node {self.address!r} already attached")
         self.network = network
-        self._datagrams = Mailbox(network.sim)
 
     @property
     def attached(self) -> bool:
@@ -67,9 +66,15 @@ class Node:
 
     @property
     def datagrams(self) -> Mailbox:
-        """Mailbox receiving connectionless probe datagrams."""
+        """Mailbox receiving connectionless probe datagrams.
+
+        Built on first use: most nodes (a population's devices) are never
+        sent one and never wait for one.
+        """
         if self._datagrams is None:
-            raise RuntimeError(f"node {self.address!r} is not attached to a network")
+            if self.network is None:
+                raise RuntimeError(f"node {self.address!r} is not attached to a network")
+            self._datagrams = Mailbox(self.network.sim)
         return self._datagrams
 
     # -- listeners -----------------------------------------------------------

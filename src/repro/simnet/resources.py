@@ -2,8 +2,8 @@
 
 These are the coordination primitives protocol code is written against:
 
-* :class:`Store` — an unbounded/bounded FIFO buffer of Python objects;
-  ``put`` and ``get`` return events.  Used for message queues.
+* :class:`Store` — an unbounded FIFO buffer of Python objects; ``put`` and
+  ``get`` return events.  Used for message queues.
 * :class:`Resource` — a counted semaphore (e.g. a server worker pool).
 * :class:`Mailbox` — a :class:`Store` specialised for addressed messages with
   optional predicate-matching receive, used by the MAS messaging layer.
@@ -23,7 +23,7 @@ __all__ = ["Store", "Resource", "Mailbox", "StorePut", "StoreGet"]
 
 
 class StorePut(Event):
-    """Event returned by :meth:`Store.put`; succeeds when the item is stored."""
+    """Event returned by :meth:`Store.put`; already triggered when returned."""
 
     __slots__ = ("item",)
 
@@ -47,60 +47,53 @@ class StoreGet(Event):
 
 
 class Store:
-    """FIFO object buffer with optional capacity.
+    """Unbounded FIFO object buffer.
 
-    ``put`` blocks (i.e. its event stays pending) while the buffer is full;
-    ``get`` blocks while no (matching) item is available.
+    ``put`` never waits: its event is triggered before ``put`` returns.
+    ``get`` waits while no (matching) item is buffered; the queue of
+    waiting getters is built by the first get that has to wait, so a store
+    nobody waits on holds none.
     """
 
-    def __init__(self, sim: "Simulator", capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.capacity = capacity
         self.items: Deque[Any] = deque()
-        self._putters: Deque[StorePut] = deque()
-        self._getters: Deque[StoreGet] = deque()
+        self._getters: Optional[Deque[StoreGet]] = None
 
     def __len__(self) -> int:
         return len(self.items)
 
     def put(self, item: Any) -> StorePut:
-        """Insert ``item``; the returned event fires once it is buffered."""
+        """Buffer ``item``; the returned event is already triggered."""
         event = StorePut(self.sim, item)
-        self._putters.append(event)
-        self._dispatch()
+        self.items.append(item)
+        event.succeed()
+        # No waiting getter matched the buffer before this put, so only
+        # ``item`` can wake one: the first, in arrival order, that takes it.
+        for idx, get in enumerate(self._getters or ()):
+            matched = self._match(get)
+            if matched is not _NO_MATCH:
+                del self._getters[idx]
+                get.succeed(matched)
+                break
         return event
 
     def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> StoreGet:
-        """Remove and return the first item (matching ``predicate`` if given)."""
-        event = StoreGet(self.sim, predicate)
-        self._getters.append(event)
-        self._dispatch()
-        return event
+        """Remove and return the first item (matching ``predicate`` if given).
 
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            # Admit pending putters while there is room.
-            while self._putters and len(self.items) < self.capacity:
-                put = self._putters.popleft()
-                self.items.append(put.item)
-                put.succeed()
-                progress = True
-            # Satisfy getters in arrival order.  A predicate getter scans the
-            # buffer; a plain getter takes the head.
-            idx = 0
-            while idx < len(self._getters):
-                get = self._getters[idx]
-                matched = self._match(get)
-                if matched is _NO_MATCH:
-                    idx += 1
-                    continue
-                del self._getters[idx]
-                get.succeed(matched)
-                progress = True
+        ``predicate`` must depend on the item alone: the getters already
+        waiting match nothing buffered, so a new getter can only take an
+        item none of them wants, and arrival order is kept.
+        """
+        event = StoreGet(self.sim, predicate)
+        matched = self._match(event)
+        if matched is _NO_MATCH:
+            if self._getters is None:
+                self._getters = deque()
+            self._getters.append(event)
+        else:
+            event.succeed(matched)
+        return event
 
     def _match(self, get: StoreGet) -> Any:
         if not self.items:

@@ -29,14 +29,26 @@ def _derive_seed(master_seed: int, name: str) -> int:
 
 
 class Stream:
-    """A single independent random stream (thin wrapper over numpy's PCG64)."""
+    """A single independent random stream (thin wrapper over numpy's PCG64).
 
-    __slots__ = ("name", "seed", "_rng")
+    The numpy generator is built on the first draw.  Its seed is fixed by
+    ``(master_seed, name)`` alone, so when it is built cannot move a draw,
+    and a stream nothing draws from (a device's ``retry`` stream in a
+    fault-free run) costs no generator.
+    """
+
+    __slots__ = ("name", "seed", "_gen")
 
     def __init__(self, name: str, seed: int) -> None:
         self.name = name
         self.seed = seed
-        self._rng = np.random.default_rng(seed)
+        self._gen: np.random.Generator | None = None
+
+    @property
+    def _rng(self) -> np.random.Generator:
+        if self._gen is None:
+            self._gen = np.random.default_rng(self.seed)
+        return self._gen
 
     # Distributions used across the simulator.  All return Python floats so
     # downstream arithmetic stays in plain-Python time units.

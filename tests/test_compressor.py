@@ -271,6 +271,16 @@ class TestFraming:
         # never more than original + header (9 bytes)
         assert len(frame) <= len(data) + 9
 
+    def test_null_frame_is_built_without_the_memo(self, monkeypatch):
+        from repro.compressor import api
+
+        monkeypatch.setattr(api, "_FRAME_CACHE", {})
+        data = b"<agent id='a-1'/>" * 3
+        frame = compress(data, "null")
+        # magic, codec id 0, little-endian length, then the bytes themselves
+        assert frame == b"PDC1\x00" + len(data).to_bytes(4, "little") + data
+        assert api._FRAME_CACHE == {}
+
     def test_bad_magic_raises(self):
         with pytest.raises(CompressionError):
             decompress(b"XXXX" + b"\x00" * 20)

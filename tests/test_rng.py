@@ -1,8 +1,14 @@
 """Tests for named, seeded random streams (reproducibility backbone)."""
 
-import pytest
+from types import SimpleNamespace
 
-from repro.simnet.rng import StreamFactory
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.simnet.rng import StreamFactory, _derive_seed
+from repro.simtest.invariants import check_rng_isolation
 
 
 class TestStreamFactory:
@@ -113,3 +119,66 @@ class TestDistributions:
         assert type(stream.exponential(1.0)) is float
         assert type(stream.normal(0, 1)) is float
         assert type(stream.randint(0, 5)) is int
+
+
+def _shuffled(shuffle) -> list:
+    seq = list(range(8))
+    shuffle(seq)
+    return seq
+
+
+#: Every distribution, drawn through a Stream and straight from numpy.
+DRAWS = {
+    "uniform": (lambda s: s.uniform(-1.0, 2.0), lambda g: float(g.uniform(-1.0, 2.0))),
+    "exponential": (lambda s: s.exponential(0.5), lambda g: float(g.exponential(0.5))),
+    "normal": (lambda s: s.normal(1.0, 2.0), lambda g: float(g.normal(1.0, 2.0))),
+    "lognormal": (lambda s: s.lognormal(0.0, 0.5), lambda g: float(g.lognormal(0.0, 0.5))),
+    "pareto": (lambda s: s.pareto(2.0, 3.0), lambda g: float(3.0 * (1.0 + g.pareto(2.0)))),
+    "bernoulli": (lambda s: s.bernoulli(0.3), lambda g: bool(g.random() < 0.3)),
+    "randint": (lambda s: s.randint(1, 6), lambda g: int(g.integers(1, 7))),
+    "choice": (lambda s: s.choice("abcde"), lambda g: "abcde"[int(g.integers(0, 5))]),
+    "shuffle": (lambda s: _shuffled(s.shuffle), lambda g: _shuffled(g.shuffle)),
+    "bytes": (lambda s: s.bytes(5), lambda g: g.bytes(5)),
+}
+NAMES = ["link:a->b:jitter", "crypto:dev-1", "retry:dev-1"]
+#: One step: ``get(name)`` alone (``None``) or one draw of a distribution.
+STEPS = st.lists(
+    st.tuples(st.sampled_from(NAMES), st.sampled_from([None, *DRAWS])), max_size=40
+)
+
+
+class TestLazyGenerator:
+    @settings(max_examples=60, deadline=None)
+    @given(master=st.integers(0, 2**32), steps=STEPS)
+    def test_lazy_streams_draw_what_eager_generators_draw(self, master, steps):
+        """A stream's generator is built at its first draw, yet every value
+        equals a draw from a generator built up front from the derived
+        seed: when the generator is built cannot move a draw."""
+        streams = StreamFactory(master)
+        eager = {name: np.random.default_rng(_derive_seed(master, name)) for name in NAMES}
+        for name, kind in steps:
+            stream = streams.get(name)
+            if kind is None:
+                continue
+            draw, reference = DRAWS[kind]
+            assert draw(stream) == reference(eager[name])
+
+    def test_undrawn_stream_holds_no_generator(self):
+        streams = StreamFactory(5)
+        stream = streams.get("retry:dev-1")
+        assert stream._gen is None
+        # Degenerate draws are answered without the generator.
+        assert stream.exponential(0.0) == 0.0
+        assert stream.bernoulli(1.0) is True
+        assert stream._gen is None
+        stream.uniform()
+        assert stream._gen is not None
+
+    def test_rng_isolation_holds_for_drawn_and_undrawn_streams(self):
+        streams = StreamFactory(11)
+        for name in NAMES:
+            streams.get(name)
+        streams.get(NAMES[0]).uniform()
+        assert [s._gen is None for s in streams] == [False, True, True]
+        ctx = SimpleNamespace(deployment=SimpleNamespace(network=SimpleNamespace(streams=streams)))
+        assert list(check_rng_isolation(ctx)) == []

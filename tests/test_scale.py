@@ -16,8 +16,10 @@ from pathlib import Path
 
 import networkx as nx
 
+from repro.core import DeploymentBuilder
 from repro.experiments.scale import _maxrss_bytes, run_population
 from repro.experiments.scenario import build_scenario, run_pdagent_batch
+from repro.simnet import Network
 from repro.telemetry import TraceCollector
 
 POP = 40  # small enough for test time, large enough for real concurrency
@@ -138,6 +140,34 @@ class TestNetworkxOnDemand:
         """The control: the check does see networkx once a route loads it,
         so the two star cases cannot pass vacuously."""
         assert run_fresh(AP_CELL_RUN) == {"networkx": True}
+
+
+class TestRetainedState:
+    def test_only_nodes_that_get_datagrams_have_a_mailbox(self, monkeypatch):
+        """A node's datagram mailbox is built when a datagram reaches it or
+        a MAS server's pump waits on it; a population's devices get
+        neither, so they hold none."""
+        deployments, destinations = [], set()
+        build, send = DeploymentBuilder.build, Network.send_datagram
+
+        def build_and_keep(self):
+            deployments.append(build(self))
+            return deployments[-1]
+
+        def send_and_note(self, src, dst, *args, **kwargs):
+            destinations.add(dst)
+            return send(self, src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(DeploymentBuilder, "build", build_and_keep)
+        monkeypatch.setattr(Network, "send_datagram", send_and_note)
+        assert run_population(POP, seed=0).tasks_completed == POP
+        (deployment,) = deployments
+        nodes = list(deployment.network.nodes)
+        with_mailbox = {n.address for n in nodes if n._datagrams is not None}
+        mas_hosts = {n.address for n in nodes if "mas_server" in n.metadata}
+        assert destinations  # agents report each arrival to their home
+        assert with_mailbox == mas_hosts | destinations
+        assert len(nodes) - len(with_mailbox) >= POP
 
 
 class TestScaleHarness:

@@ -1,64 +1,72 @@
-"""Stateful property test: the simnet Store behaves as a FIFO with
-capacity blocking, against a deque model."""
+"""Stateful property test: the simnet Store behaves as an unbounded FIFO
+with predicate gets, against a deque model."""
 
 from collections import deque
+from itertools import count
 
 from hypothesis import settings
+from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.simnet.kernel import Simulator
 from repro.simnet.resources import Store
 
-CAPACITY = 5
+
+def _wants(parity, item) -> bool:
+    """A getter's predicate in the model: ``None`` takes anything."""
+    return parity is None or item % 2 == parity
 
 
 class StoreMachine(RuleBasedStateMachine):
-    """Puts and gets interleave; after every rule the simulator drains and
-    the store must match a deque model with the same capacity semantics."""
+    """Puts and gets (plain, or for odd or even items) interleave; after
+    every rule the simulator drains and the store must match the model: a
+    deque of buffered items and the getters still waiting, in arrival
+    order."""
 
     def __init__(self):
         super().__init__()
         self.sim = Simulator()
-        self.store = Store(self.sim, capacity=CAPACITY)
-        self.model: deque = deque()          # items actually buffered
-        self.pending_puts: deque = deque()   # blocked put values, in order
-        self.received: list = []
-        self.expected: list = []
+        self.store = Store(self.sim)
+        self.model: deque = deque()  # items actually buffered
+        self.waiting: list = []  # (getter id, parity) still waiting, in order
+        self.received: dict = {}
+        self.expected: dict = {}
         self.counter = 0
-
-    def _settle(self):
-        self.sim.run()
-        # promote blocked puts into the model as space allows (mirrors the
-        # store's own dispatch)
-        while self.pending_puts and len(self.model) < CAPACITY:
-            self.model.append(self.pending_puts.popleft())
+        self.getter_ids = count()
 
     @rule()
     def put(self):
         value = self.counter
         self.counter += 1
-        self.store.put(value)
-        if len(self.model) < CAPACITY:
-            self.model.append(value)
+        assert self.store.put(value).triggered  # a put never waits
+        # The first waiting getter, in arrival order, that wants it takes it.
+        for idx, (getter, parity) in enumerate(self.waiting):
+            if _wants(parity, value):
+                del self.waiting[idx]
+                self.expected[getter] = value
+                break
         else:
-            self.pending_puts.append(value)
-        self._settle()
+            self.model.append(value)
+        self.sim.run()
 
-    @rule()
-    def get(self):
-        if self.model or self.pending_puts:
-            # a consumer will definitely receive the oldest item
-            if self.model:
-                self.expected.append(self.model.popleft())
-            else:
-                self.expected.append(self.pending_puts.popleft())
+    @rule(parity=st.sampled_from([None, 0, 1]))
+    def get(self, parity):
+        getter = next(self.getter_ids)
+        # A getter takes the oldest buffered item it wants, or waits.
+        for idx, item in enumerate(self.model):
+            if _wants(parity, item):
+                del self.model[idx]
+                self.expected[getter] = item
+                break
+        else:
+            self.waiting.append((getter, parity))
+        predicate = None if parity is None else (lambda item: _wants(parity, item))
 
-            def consumer():
-                item = yield self.store.get()
-                self.received.append(item)
+        def consumer():
+            self.received[getter] = yield self.store.get(predicate)
 
-            self.sim.process(consumer())
-            self._settle()
+        self.sim.process(consumer())
+        self.sim.run()
 
     @invariant()
     def buffered_matches_model(self):
@@ -69,8 +77,13 @@ class StoreMachine(RuleBasedStateMachine):
         assert self.received == self.expected
 
     @invariant()
-    def capacity_never_exceeded(self):
-        assert len(self.store) <= CAPACITY
+    def waiting_getters_match_model(self):
+        assert len(self.store._getters or ()) == len(self.waiting)
+        # No waiting getter wants anything buffered.
+        for get in self.store._getters or ():
+            assert not any(
+                get.predicate is None or get.predicate(item) for item in self.store.items
+            )
 
 
 TestStoreStateful = StoreMachine.TestCase
