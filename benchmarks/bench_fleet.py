@@ -38,7 +38,7 @@ def run_gate(seed: int = 0, population: int = GATE_POPULATION) -> dict:
     baseline = run_fleet(seed=seed, n_devices=population, enabled=False)
     replay = run_fleet(seed=seed, n_devices=population, enabled=True)
 
-    # Determinism gate: the fleet tier (sqlite stores, claim RPCs,
+    # Determinism gate: the fleet tier (crash-surviving stores, claim RPCs,
     # reconcilers) must not leak nondeterminism into the timeline.  The
     # replay must match in every counter, outcome, event count and sim_end.
     assert fleet_run == replay, (

@@ -40,7 +40,7 @@ from .retry import CircuitBreaker, RetryPolicy
 from .security import DeviceSecurity, GatewaySecurity
 from .session import SessionManager
 from .selection import GatewaySelector, ProbeResult
-from .storage import GatewayStorage, make_storage
+from .storage import GatewayStorage
 from .ui import DeviceUI
 from .subscription import (
     ServiceCatalog,
@@ -106,7 +106,6 @@ __all__ = [
     "FleetClient",
     "HashRing",
     "GatewayStorage",
-    "make_storage",
     "SessionManager",
     "StreamingDispatch",
 ]

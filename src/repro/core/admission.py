@@ -19,9 +19,10 @@ a dispatch storm.
   :class:`~repro.core.errors.GatewayOverloadedError` carrying a computed
   ``retry_after`` hint instead of queueing unboundedly.
 * :class:`DedupTable` — the exactly-once admission index, mapping a
-  device-generated task id to the ticket it already produced.  The table is
-  **volatile** (it models in-memory servlet state); after a crash it is
-  rebuilt from the surviving durable tickets via :meth:`DedupTable.rebuild`.
+  device-generated task id to the ticket it already produced.  On a
+  standalone gateway the table is **volatile** (it models in-memory servlet
+  state); after a crash it is rebuilt from the surviving durable tickets via
+  :meth:`DedupTable.rebuild`.  A fleet member keeps it across the crash.
 
 Everything is deterministic: no wall clock, no unseeded randomness — the
 same master seed replays the same sheds at the same simulated instants.
@@ -237,7 +238,8 @@ class DedupTable:
 
     Deliberately tiny: correctness lives in *where* it is consulted (before
     the nonce-replay check, so a retried frame dedups instead of 403-ing)
-    and in the rebuild path.  The table is volatile; tickets are durable.
+    and in the rebuild path.  Tickets are durable; whether the table
+    survives a crash is :class:`~repro.core.storage.GatewayStorage`'s call.
 
     Bindings may carry an expiry timestamp (armed when the result they
     guard is reclaimed): an expired entry answers like a miss and is purged,
@@ -246,8 +248,6 @@ class DedupTable:
     """
 
     __slots__ = ("_by_task",)
-
-    durable = False
 
     def __init__(self) -> None:
         self._by_task: dict[str, tuple[str, Optional[float]]] = {}

@@ -93,17 +93,12 @@ class PDAgentConfig:
     #: bindings for the gateway's lifetime (the pre-TTL behaviour).
     dedup_ttl_s: float = 0.0
 
-    # --- durable storage & fleet tier ---------------------------------------
-    #: Ticket/dedup/result persistence: "memory" (original volatile
-    #: structures) or "sqlite" (embedded durable store; crash/restart and
-    #: process replacement recover the full ledger).
-    storage_backend: str = "memory"
-    #: Path for the sqlite backend; "" keeps a private in-memory database
-    #: per gateway (hermetic simulations).
-    sqlite_path: str = ""
+    # --- fleet tier -----------------------------------------------------------
     #: Share one fleet membership across the deployment's gateways:
     #: consistent-hash ownership of task_ids with claim forwarding, making
     #: dedup authoritative fleet-wide.  Off, every gateway is a fleet of one.
+    #: A fleet member's dedup index and upload sessions survive its crash;
+    #: a standalone gateway rebuilds the index from its tickets.
     fleet_enabled: bool = False
     #: Failure detector: how long a suspect may stay silent before the
     #: shared view marks it ``down``.
@@ -153,8 +148,6 @@ class PDAgentConfig:
             raise ValueError("dispatch_cost_s must be non-negative")
         if self.retry_after_cap_s <= 0:
             raise ValueError("retry_after_cap_s must be positive")
-        if self.storage_backend not in ("memory", "sqlite"):
-            raise ValueError(f"unknown storage backend {self.storage_backend!r}")
         if self.fleet_suspicion_timeout_s <= 0:
             raise ValueError("fleet_suspicion_timeout_s must be positive")
         if self.fleet_drain_timeout_s <= 0:

@@ -61,7 +61,7 @@ from .session import (
     HOPS_VISITED_HEADER,
     SessionManager,
 )
-from .storage import GatewayStorage, SessionRecord, make_storage
+from .storage import GatewayStorage, SessionRecord
 from .subscription import ServiceCatalog, SubscriptionDirectory, code_to_xml
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -127,12 +127,13 @@ class Ticket:
     #: superseded
     status: str
     created_at: float
+    #: Succeeds with the disposition when the ticket leaves "dispatched".
+    completed: Event
     result_frame: Optional[bytes] = None
-    completed: Optional[Event] = None
     children: list[str] = field(default_factory=list)  # clone tickets
     #: Device-generated idempotency key ("" for legacy dispatches).  Stored
-    #: on the durable ticket so the volatile dedup index can be rebuilt
-    #: after a gateway restart.
+    #: on the ticket so a standalone gateway can rebuild its dedup index
+    #: after a restart.
     task_id: str = ""
     #: When the result document was first successfully downloaded; starts
     #: the retention-TTL clock.
@@ -379,11 +380,9 @@ class AgentDispatchHandler:
                 # The task produced no agent: unbind so a future retry may
                 # legitimately dispatch afresh.
                 gw.dedup.forget(ticket.task_id)
-                gw.storage.tickets.persist(ticket)
                 gw._release_fleet_claim(ticket)
                 raise
             ticket.agent_id = agent_id
-            gw.storage.tickets.persist(ticket)
             gw.metrics.counter("gateway_dispatches").inc()
             # Background: watch for the agent's completion and build the doc,
             # with a watchdog so a lost agent cannot wedge the ticket.
@@ -425,7 +424,6 @@ class Gateway:
         vault: KeyVault,
         config: Optional[PDAgentConfig] = None,
         port: int = GATEWAY_PORT,
-        storage: Optional[GatewayStorage] = None,
     ) -> None:
         self.network = network
         self.metrics = network.telemetry.metrics
@@ -440,18 +438,13 @@ class Gateway:
         self.document_creator = DocumentCreator()
         self.file_directory = FileDirectory()
         self.dispatch_handler = AgentDispatchHandler(self)
-        #: Ticket/dedup/result persistence.  Passing ``storage`` explicitly
-        #: models process replacement: a fresh gateway adopting the durable
-        #: state its predecessor left behind.
-        self.storage = storage or make_storage(
-            self.config.storage_backend, path=self.config.sqlite_path
-        )
-        #: Exactly-once admission index (volatile for the memory backend —
-        #: rebuilt on restart(); authoritative and durable under sqlite).
+        #: Tickets, the dedup index and upload sessions.  A fleet member's
+        #: index and sessions survive a crash; see :mod:`.storage`.
+        self.storage = GatewayStorage(durable=self.config.fleet_enabled)
+        #: Exactly-once admission index (a standalone gateway rebuilds it
+        #: on restart(); a fleet member's is kept across the crash).
         self.dedup = self.storage.dedup
-        self._ticket_counter = itertools.count(
-            self.storage.tickets.max_seq(f"{address}/t-") + 1
-        )
+        self._ticket_counter = itertools.count(1)
         #: Incremented by crash(): in-flight intake handlers compare their
         #: entry epoch before minting a ticket, so a dispatch that straddled
         #: a crash aborts instead of racing the restarted dedup index.
@@ -474,7 +467,6 @@ class Gateway:
         self._handoff_hints: dict[str, tuple[str, str]] = {}
         #: Members with a suspicion probe in flight (one probe per suspect).
         self._probing: set[str] = set()
-        self._adopt_recovered_tickets()
         #: Bounded, classed intake.  "upload" is the expensive agent-dispatch
         #: class; "download" the cheap result/agent-op class with its own
         #: pool, so a dispatch storm can never starve result collection.
@@ -544,22 +536,6 @@ class Gateway:
     @property
     def sim(self):
         return self.network.sim
-
-    def _adopt_recovered_tickets(self) -> None:
-        """Re-arm process state on tickets recovered from durable storage.
-
-        Events and watchdogs die with the process; a still-"dispatched"
-        recovered ticket has also lost its agent-completion subscription,
-        so the watchdog is its only path to finality — it fails (retriable)
-        and the device's retry re-dispatches.
-        """
-        for ticket in self.storage.tickets.values():
-            if ticket.completed is None:
-                ticket.completed = Event(self.sim)
-                if ticket.status != "dispatched":
-                    ticket.completed.succeed(ticket.status)
-            if ticket.status == "dispatched":
-                self._watch_ticket(ticket)
 
     def enable_fleet(self, fleet: Fleet) -> None:
         """Join ``fleet``: consistent-hash task ownership + claim forwarding."""
@@ -642,9 +618,11 @@ class Gateway:
         """Gateway process dies: volatile state is lost, durable state kept.
 
         Mirrors the PR-1 fault model: the node stops listening (clients see
-        resets/refusals), the in-memory dedup index and admission queues
-        vanish, but the ticket store — the servlet container's persistent
-        session state — survives for :meth:`restart` to recover from.
+        resets/refusals) and the admission queues vanish, but the ticket
+        store — the servlet container's persistent session state — survives
+        for :meth:`restart` to recover from.  A standalone gateway also
+        loses its dedup index and open upload sessions; a fleet member
+        keeps both.
         """
         if not self.node.crashed:
             self.node.suspend_listeners()
@@ -660,9 +638,9 @@ class Gateway:
 
         Exactly-once must hold *across* the crash: a device retrying a
         pre-crash task after the restart has to land on its original
-        ticket.  The memory backend reconstructs the volatile index from
-        the durable ticket store before any request is served; the sqlite
-        backend's index never died.  Orphaned workspace — allocations
+        ticket.  A standalone gateway rebuilds its index from the ticket
+        store before any request is served; a fleet member's index never
+        died.  Orphaned workspace — allocations
         whose ticket vanished mid-dispatch — is reclaimed.  Returns the
         number of usable dedup bindings.
         """
@@ -732,7 +710,7 @@ class Gateway:
         # code-body allocation until dispose, or forever.
         self.file_directory.release(ticket.ticket_id)
         self.file_directory.allocate(ticket.ticket_id, len(ticket.result_frame))
-        if ticket.completed is not None and not ticket.completed.triggered:
+        if not ticket.completed.triggered:
             ticket.completed.succeed(disposition)
         if disposition == "failed":
             # Exactly-once covers *successful* dispatch; a failed task may
@@ -740,9 +718,6 @@ class Gateway:
             # locally and, for a forwarded claim, at the task's owner.
             self.dedup.forget(ticket.task_id)
             self._release_fleet_claim(ticket)
-        else:
-            self.storage.results.put(ticket.ticket_id, ticket.result_frame)
-        self.storage.tickets.persist(ticket)
         self.metrics.counter(f"gateway_results:{disposition}").inc()
         # Reconnect-window push: devices holding an open session learn the
         # outcome on their next contact instead of blind-polling for it.
@@ -768,10 +743,8 @@ class Gateway:
         ticket.result_frame = None
         ticket.status = "expired"
         self.file_directory.release(ticket.ticket_id)
-        self.storage.results.drop(ticket.ticket_id)
         # The partial stream shares the result document's lifetime.
         self.storage.sessions.drop_partials(ticket.ticket_id)
-        self.storage.tickets.persist(ticket)
         self.metrics.counter("gateway_results_expired").inc()
         self._arm_dedup_expiry(ticket)
 
@@ -810,11 +783,10 @@ class Gateway:
         """Retire a minted ticket whose dispatch never launched an agent."""
         ticket.status = "failed"
         self.dedup.forget(ticket.task_id)
-        if ticket.completed is not None and not ticket.completed.triggered:
+        if not ticket.completed.triggered:
             ticket.completed.succeed("failed")
         if ticket.span is not None and ticket.span.open:
             ticket.span.end(status="error")
-        self.storage.tickets.persist(ticket)
         self._release_fleet_claim(ticket)
 
     def _supersede_ticket(self, ticket: Ticket, winner_id: str) -> None:
@@ -831,15 +803,13 @@ class Gateway:
         ticket.superseded_by = winner_id
         ticket.result_frame = None
         self.file_directory.release(ticket.ticket_id)
-        self.storage.results.drop(ticket.ticket_id)
         if ticket.task_id:
             self.dedup.bind(ticket.task_id, winner_id)
         self._unreconciled.pop(ticket.task_id, None)
-        if ticket.completed is not None and not ticket.completed.triggered:
+        if not ticket.completed.triggered:
             ticket.completed.succeed("superseded")
         if ticket.span is not None and ticket.span.open:
             ticket.span.end(status="superseded")
-        self.storage.tickets.persist(ticket)
         self.metrics.counter("gateway_superseded").inc()
 
     def _accept_unreconciled(self, task_id: str, ticket: Ticket, verdict: str) -> None:
@@ -1155,7 +1125,6 @@ class Gateway:
             )
         if ticket.first_downloaded_at is None:
             ticket.first_downloaded_at = self.sim.now
-            self.storage.tickets.persist(ticket)
             self.sim.process(
                 self._expire_result(ticket), name=f"gw-expire:{ticket.ticket_id}"
             )
@@ -1307,7 +1276,6 @@ class Gateway:
                 ticket.device_id, ticket.service, agent_id=clone_id
             )
             ticket.children.append(clone_ticket.ticket_id)
-            self.storage.tickets.persist(ticket)
             self.sim.process(
                 self._await_completion(clone_ticket),
                 name=f"gw-await:{clone_ticket.ticket_id}",
@@ -1321,9 +1289,7 @@ class Gateway:
                 return HttpResponse(409, reason=f"dispose failed: {exc}")
             ticket.status = "disposed"
             self.file_directory.release(ticket.ticket_id)
-            self.storage.results.drop(ticket.ticket_id)
             self.storage.sessions.drop_partials(ticket.ticket_id)
-            self.storage.tickets.persist(ticket)
             self._arm_dedup_expiry(ticket)
             if ticket.span is not None:
                 ticket.span.end(status="disposed")
@@ -1344,12 +1310,13 @@ class Gateway:
             doc = parse_bytes(req.body)
             task_id = doc.require("task")
             ticket_id = doc.require("ticket")
-        except (XmlError, KeyError, TypeError) as exc:
+            epoch = doc.get("epoch", "")
+            claim_epoch = int(epoch) if epoch else None
+        except (XmlError, KeyError, TypeError, ValueError) as exc:
             return HttpResponse(400, reason=str(exc))
         view = self.fleet.view
-        claim_epoch = doc.get("epoch", "")
         on_behalf_of = doc.get("for", "")
-        if claim_epoch and int(claim_epoch) != view.epoch:
+        if claim_epoch is not None and claim_epoch != view.epoch:
             # The claimant resolved ownership on a ring this fleet no
             # longer runs: answering "granted"/"bound" would be a verdict
             # from the wrong owner.  Send the new view; the claimant's next
@@ -1436,47 +1403,42 @@ class Gateway:
     def _handle_fleet_migrate(self, req: HttpRequest) -> HttpResponse:
         """Receive a batch of migrated state (drain or rebalance).
 
-        Atomic and idempotent: every item applies first-wins through the
-        storage adapters, so a retried batch (the sender never saw the ack)
-        re-applies as a no-op and is re-acked.  The ack is the sender's
-        licence to drop its local copy.
+        Atomic and idempotent: the whole batch is decoded before any item
+        applies, so a malformed one gets a 400 and changes nothing; every
+        item then applies first-wins through the stores, so a retried batch
+        (the sender never saw the ack) re-applies as a no-op and is
+        re-acked.  The ack is the sender's licence to drop its local copy.
         """
         try:
-            doc = parse_bytes(req.body)
-        except XmlError as exc:
-            return HttpResponse(400, reason=str(exc))
-        accepted = 0
-        for el in doc:
-            self._apply_migrated(el)
-            accepted += 1
-        self.metrics.counter("fleet.migrated_in").inc(accepted)
+            items = [self._decode_migrated(el) for el in parse_bytes(req.body)]
+        except (XmlError, KeyError, TypeError, ValueError) as exc:
+            return HttpResponse(400, reason=f"bad migrate batch: {exc}")
+        for apply in items:
+            apply()
+        self.metrics.counter("fleet.migrated_in").inc(len(items))
         ack = Element(
             "migrateack",
-            {"accepted": str(accepted), "epoch": str(self.fleet.view.epoch)},
+            {"accepted": str(len(items)), "epoch": str(self.fleet.view.epoch)},
         )
         body = write_bytes(ack)
         return HttpResponse(200, body=body, body_size=len(body))
 
-    def _apply_migrated(self, el: Element) -> None:
+    def _decode_migrated(self, el: Element) -> Callable[[], None]:
+        """Parse one migrated item; the returned call applies it.
+
+        Raises ``KeyError`` or ``ValueError`` on a malformed item.  An
+        unknown tag applies as a no-op.
+        """
         if el.tag == "binding":
             task_id = el.require("task")
             ticket_id = el.require("ticket")
-            existing = self.dedup.lookup(task_id, self.sim.now)
-            if existing is None:
-                expires = el.get("expires", "")
-                self.dedup.bind(
-                    task_id, ticket_id, float(expires) if expires else None
-                )
-            elif existing != ticket_id:
-                self.metrics.counter("fleet.migrate_conflicts").inc()
-            return
+            expires = el.get("expires", "")
+            expires_at = float(expires) if expires else None
+            return lambda: self._adopt_binding(task_id, ticket_id, expires_at)
         if el.tag == "ticket":
-            ticket_id = el.require("id")
-            if self.storage.tickets.get(ticket_id) is not None:
-                return
             downloaded = el.get("downloaded", "")
             ticket = Ticket(
-                ticket_id=ticket_id,
+                ticket_id=el.require("id"),
                 agent_id=el.get("agent", ""),
                 device_id=el.get("device", ""),
                 service=el.get("service", ""),
@@ -1488,35 +1450,16 @@ class Gateway:
                 superseded_by=el.get("superseded-by", ""),
                 children=[c for c in el.get("children", "").split(",") if c],
             )
-            if ticket.status != "dispatched":
-                ticket.completed.succeed(ticket.status)
             frame_hex = el.findtext("frame")
             if frame_hex:
                 ticket.result_frame = bytes.fromhex(frame_hex)
-                self.storage.results.put(ticket.ticket_id, ticket.result_frame)
-                self.file_directory.allocate(
-                    ticket.ticket_id, len(ticket.result_frame)
-                )
-            self.storage.tickets.insert(ticket)
-            for child in el.findall("partial"):
-                if child.text:
-                    self.storage.sessions.append_partial(
-                        ticket.ticket_id, json.loads(child.text)
-                    )
-            if ticket.result_frame is not None and ticket.first_downloaded_at is not None:
-                # The origin's TTL timer died with the migration; restart
-                # retention from arrival here.
-                self.sim.process(
-                    self._expire_result(ticket),
-                    name=f"gw-expire:{ticket.ticket_id}",
-                )
-            return
+            partials = [
+                json.loads(child.text) for child in el.findall("partial") if child.text
+            ]
+            return lambda: self._adopt_ticket(ticket, partials)
         if el.tag == "session":
-            session_id = el.require("id")
-            if self.storage.sessions.get(session_id) is not None:
-                return
             record = SessionRecord(
-                session_id=session_id,
+                session_id=el.require("id"),
                 device_id=el.get("device", ""),
                 task_id=el.get("task", ""),
                 total_bytes=int(el.get("total", "0")),
@@ -1525,14 +1468,48 @@ class Gateway:
                 last_contact=float(el.get("contact", "0")),
                 ticket_id=el.get("ticket", ""),
             )
-            self.storage.sessions.create(record)
-            for child in el.findall("chunk"):
-                if child.text:
-                    self.storage.sessions.put_chunk(
-                        session_id,
-                        int(child.get("offset", "0")),
-                        bytes.fromhex(child.text),
-                    )
+            chunks = [
+                (int(child.get("offset", "0")), bytes.fromhex(child.text))
+                for child in el.findall("chunk")
+                if child.text
+            ]
+            return lambda: self._adopt_session(record, chunks)
+        return lambda: None
+
+    def _adopt_binding(
+        self, task_id: str, ticket_id: str, expires_at: Optional[float]
+    ) -> None:
+        existing = self.dedup.lookup(task_id, self.sim.now)
+        if existing is None:
+            self.dedup.bind(task_id, ticket_id, expires_at)
+        elif existing != ticket_id:
+            self.metrics.counter("fleet.migrate_conflicts").inc()
+
+    def _adopt_ticket(self, ticket: Ticket, partials: list[dict]) -> None:
+        if self.storage.tickets.get(ticket.ticket_id) is not None:
+            return
+        if ticket.status != "dispatched":
+            ticket.completed.succeed(ticket.status)
+        if ticket.result_frame is not None:
+            self.file_directory.allocate(ticket.ticket_id, len(ticket.result_frame))
+        self.storage.tickets.insert(ticket)
+        for entry in partials:
+            self.storage.sessions.append_partial(ticket.ticket_id, entry)
+        if ticket.result_frame is not None and ticket.first_downloaded_at is not None:
+            # The origin's TTL timer died with the migration; restart
+            # retention from arrival here.
+            self.sim.process(
+                self._expire_result(ticket), name=f"gw-expire:{ticket.ticket_id}"
+            )
+
+    def _adopt_session(
+        self, record: SessionRecord, chunks: list[tuple[int, bytes]]
+    ) -> None:
+        if self.storage.sessions.get(record.session_id) is not None:
+            return
+        self.storage.sessions.create(record)
+        for offset, data in chunks:
+            self.storage.sessions.put_chunk(record.session_id, offset, data)
 
     # ---------------------------------------------------- membership lifecycle
     def _on_epoch_change(self, epoch: int, reason: str, member: str) -> None:
@@ -1804,7 +1781,6 @@ class Gateway:
             ticket_id = el.get("id", "")
             self._unreconciled.pop(el.get("task", ""), None)
             self.file_directory.release(ticket_id)
-            self.storage.results.drop(ticket_id)
             self.storage.sessions.drop_partials(ticket_id)
             self.storage.tickets.delete(ticket_id)
         elif el.tag == "session":

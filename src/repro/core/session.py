@@ -8,11 +8,10 @@ three capabilities (cf. DIAMOnDS' live service streams and the handheld
 grid-analysis system's incremental result push):
 
 * **Chunked resumable upload** — the device splits the packed PI frame
-  into chunks; the gateway persists received ranges in the
-  :class:`~repro.core.storage.InMemorySessionStore` /
-  :class:`~repro.core.storage.SqliteSessionStore` behind the storage
-  adapter, and a resume handshake (keyed by the task id) answers the first
-  unacknowledged offset, so a LinkDown costs only the bytes in flight.
+  into chunks; the gateway keeps received ranges in its
+  :class:`~repro.core.storage.SessionStore`, and a resume handshake (keyed
+  by the task id) answers the first unacknowledged offset, so a LinkDown
+  costs only the bytes in flight.
   The chunk that completes coverage assembles the frame, verifies its MD5
   digest, and hands it to the **existing** dedup/admission intake path
   (:meth:`~repro.core.gateway.Gateway._intake_frame`) — exactly-once is
@@ -40,9 +39,9 @@ Wire protocol (all under the ``/session/`` route prefix)::
     POST /session/close/<sid>     -> 200
     POST /session/partial         <hopreport agent site>payload   (from MAS)
 
-Crash semantics follow the storage adapter: under the memory backend an
-open session dies with the gateway (the device's re-open starts from byte
-0); under sqlite the received ranges survive and the resume handshake
+Crash semantics follow fleet membership: on a standalone gateway an open
+session dies with the process (the device's re-open starts from byte 0);
+on a fleet member the received ranges survive and the resume handshake
 picks up where the crash left off.  Poll responses carry the gateway's
 ``crash_epoch`` so a device can detect a restart and reset its partial
 cursor — the gateway's partial stream for a ticket is authoritative and
@@ -104,17 +103,16 @@ class SessionManager:
 
     Owns no HTTP routes itself — :class:`~repro.core.gateway.Gateway`
     registers ``/session/`` and dispatches here under a held ``"session"``
-    admission slot.  Durable state (records, received ranges, partial
-    streams) lives in ``gateway.storage.sessions``; the push queues are
-    process memory, lost on crash like any other servlet-session state.
+    admission slot.  Session state (records, received ranges, partial
+    streams) lives in ``gateway.storage.sessions``, which a fleet member
+    keeps across a crash; the push queues are process memory, lost on
+    every crash like any other servlet-session state.
     """
 
     def __init__(self, gateway: "Gateway") -> None:
         self.gateway = gateway
         self.metrics = gateway.metrics
-        self._counter = itertools.count(
-            self.store.max_seq(f"{gateway.address}/s-") + 1
-        )
+        self._counter = itertools.count(1)
         #: Per-session queued notifications (dicts), flushed on next poll.
         self._push: dict[str, list[dict]] = {}
 
@@ -132,7 +130,7 @@ class SessionManager:
         return self.store.values()
 
     def on_crash(self) -> None:
-        """Process memory dies with the gateway; durable ranges survive."""
+        """The push queues die with the gateway process."""
         self._push.clear()
 
     # ------------------------------------------------------------ internals
@@ -146,7 +144,6 @@ class SessionManager:
 
     def _touch(self, record: SessionRecord) -> None:
         record.last_contact = self.sim.now
-        self.store.persist(record)
 
     def _reap(self) -> None:
         """Lazily expire idle sessions (no background process: a reaper
@@ -175,8 +172,8 @@ class SessionManager:
         """``POST /session/open``: create — or resume — an upload session.
 
         The handshake is keyed by the device task id: a re-open after a
-        LinkDown (or a gateway restart under the sqlite backend) finds the
-        existing record and answers the first unacknowledged offset.  A
+        LinkDown (or a fleet member's restart) finds the existing record
+        and answers the first unacknowledged offset.  A
         task that already dispatched (the completing chunk's response was
         lost, or the session expired after commit) short-circuits to the
         existing ticket via the dedup index — the device skips the upload
@@ -386,7 +383,6 @@ class SessionManager:
         doc = parse_bytes(resp.body)
         record.ticket_id = doc.require_child("ticket").text
         agent_id = doc.require_child("agent").text
-        self.store.persist(record)
         self.metrics.counter("gateway.session_commits").inc()
         span.end(status="committed", ticket=record.ticket_id)
         return self._chunk_response(

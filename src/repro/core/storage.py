@@ -1,139 +1,40 @@
-"""Storage adapters for the gateway tier: tickets, dedup bindings, results.
+"""The gateway tier's stores: tickets, dedup bindings, streaming sessions.
 
-The gateway originally kept all three in per-instance in-memory structures,
-which makes its exactly-once guarantee *per process*: a crash loses the
-dedup index (rebuilt best-effort from tickets) and a replaced gateway
-process loses everything.  This module turns each structure into an adapter
-with two backends:
+Tickets model the servlet container's persistent state (§3.2): each one
+keeps its retained result frame until the device collects it, and no crash
+wipes them.  What else a crash keeps depends on fleet membership:
 
-* **memory** — the original semantics: a live dict of
-  :class:`~repro.core.gateway.Ticket` objects, the volatile
-  :class:`~repro.core.admission.DedupTable`, result frames held on the
-  ticket.  ``persist()`` is a no-op; crash wipes dedup; restart rebuilds it
-  from the surviving tickets.
-* **sqlite** — an embedded durable store (stdlib ``sqlite3``, private
-  ``:memory:`` database by default so simulations stay hermetic).  Every
-  ticket mutation is written through to a row, dedup bindings and retained
-  result frames live in their own tables, and a fresh store constructed
-  over the same connection recovers the working set — the crash/restart
-  and process-replacement recovery the fleet tier builds on.
-
-Schema (one database per gateway)::
-
-    tickets(ticket_id PK, agent_id, device_id, service, status,
-            created_at, task_id, first_downloaded_at, superseded_by,
-            children)
-    dedup(task_id PK, ticket_id, expires_at)
-    results(ticket_id PK, frame BLOB)
-    sessions(session_id PK, device_id, task_id, total_bytes, digest,
-             created_at, last_contact, ticket_id)
-    session_chunks(session_id, offset, data BLOB)
-    session_partials(ticket_id, seq, site, payload, at)
-
-The kernel's :class:`~repro.simnet.primitives.Event` and telemetry spans are
-deliberately *not* persisted: they are process state.  Recovered tickets
-come back with ``completed=None``; the adopting gateway re-arms events and
-watchdogs (see ``Gateway.__init__``).
+* **standalone** (``durable=False``) — the dedup index and the open upload
+  sessions are process state.  A crash wipes both; restart rebuilds the
+  index from the surviving tickets, which recovers it fully, because a
+  standalone gateway only ever binds tickets it minted itself.  Devices
+  restart their interrupted uploads from byte 0.
+* **fleet member** (``durable=True``) — the index and the sessions survive.
+  An owner's index also holds claims it granted for tickets other gateways
+  minted, and no rebuild from its own tickets could restore those.
 """
 
 from __future__ import annotations
 
-import sqlite3
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .admission import DedupTable
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gateway import Ticket
 
-__all__ = [
-    "GatewayStorage",
-    "SessionRecord",
-    "InMemoryTicketStore",
-    "SqliteTicketStore",
-    "SqliteDedupTable",
-    "InMemoryResultStore",
-    "SqliteResultStore",
-    "InMemorySessionStore",
-    "SqliteSessionStore",
-    "make_storage",
-]
-
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS tickets (
-    ticket_id TEXT PRIMARY KEY,
-    agent_id TEXT NOT NULL DEFAULT '',
-    device_id TEXT NOT NULL DEFAULT '',
-    service TEXT NOT NULL DEFAULT '',
-    status TEXT NOT NULL,
-    created_at REAL NOT NULL,
-    task_id TEXT NOT NULL DEFAULT '',
-    first_downloaded_at REAL,
-    superseded_by TEXT NOT NULL DEFAULT '',
-    children TEXT NOT NULL DEFAULT ''
-);
-CREATE TABLE IF NOT EXISTS dedup (
-    task_id TEXT PRIMARY KEY,
-    ticket_id TEXT NOT NULL,
-    expires_at REAL
-);
-CREATE TABLE IF NOT EXISTS results (
-    ticket_id TEXT PRIMARY KEY,
-    frame BLOB NOT NULL
-);
-CREATE TABLE IF NOT EXISTS sessions (
-    session_id TEXT PRIMARY KEY,
-    device_id TEXT NOT NULL DEFAULT '',
-    task_id TEXT NOT NULL DEFAULT '',
-    total_bytes INTEGER NOT NULL,
-    digest TEXT NOT NULL DEFAULT '',
-    created_at REAL NOT NULL,
-    last_contact REAL NOT NULL DEFAULT 0,
-    ticket_id TEXT NOT NULL DEFAULT ''
-);
-CREATE TABLE IF NOT EXISTS session_chunks (
-    session_id TEXT NOT NULL,
-    offset INTEGER NOT NULL,
-    data BLOB NOT NULL,
-    PRIMARY KEY (session_id, offset)
-);
-CREATE TABLE IF NOT EXISTS session_partials (
-    ticket_id TEXT NOT NULL,
-    seq INTEGER NOT NULL,
-    site TEXT NOT NULL DEFAULT '',
-    payload TEXT NOT NULL DEFAULT '',
-    at REAL NOT NULL DEFAULT 0,
-    PRIMARY KEY (ticket_id, seq)
-);
-"""
+__all__ = ["GatewayStorage", "SessionRecord", "TicketStore", "SessionStore"]
 
 
-def _seq_of(ticket_id: str, prefix: str) -> int:
-    """The counter value inside ``<prefix><n>`` ids, or 0."""
-    if not ticket_id.startswith(prefix):
-        return 0
-    try:
-        return int(ticket_id[len(prefix):])
-    except ValueError:
-        return 0
-
-
-# ------------------------------------------------------------- ticket stores
-class InMemoryTicketStore:
-    """The original gateway ticket dict behind the adapter interface."""
-
-    durable = False
+class TicketStore:
+    """Every ticket a gateway holds, by id, in mint (or arrival) order."""
 
     def __init__(self) -> None:
         self._by_id: dict[str, "Ticket"] = {}
 
     def insert(self, ticket: "Ticket") -> None:
         self._by_id[ticket.ticket_id] = ticket
-
-    def persist(self, ticket: "Ticket") -> None:
-        """Record a mutation.  Memory tickets are live objects: no-op."""
-        self._by_id.setdefault(ticket.ticket_id, ticket)
 
     def get(self, ticket_id: str) -> Optional["Ticket"]:
         return self._by_id.get(ticket_id)
@@ -151,222 +52,10 @@ class InMemoryTicketStore:
     def __contains__(self, ticket_id: str) -> bool:
         return ticket_id in self._by_id
 
-    def max_seq(self, prefix: str) -> int:
-        """Highest minted counter under ``prefix`` (ticket-id continuity)."""
-        return max((_seq_of(t, prefix) for t in self._by_id), default=0)
 
-
-class SqliteTicketStore(InMemoryTicketStore):
-    """Write-through ticket store: live working set + durable rows.
-
-    Reads serve from the in-memory working set (tickets carry live kernel
-    events); every ``insert``/``persist`` writes the durable columns
-    through to the row, so a store constructed over a populated connection
-    recovers the full ticket ledger.
-    """
-
-    durable = True
-
-    def __init__(self, conn: sqlite3.Connection) -> None:
-        super().__init__()
-        self._conn = conn
-        self._load()
-
-    def _load(self) -> None:
-        from .gateway import Ticket  # local import breaks the module cycle
-
-        rows = self._conn.execute(
-            "SELECT ticket_id, agent_id, device_id, service, status,"
-            " created_at, task_id, first_downloaded_at, superseded_by,"
-            " children FROM tickets ORDER BY ticket_id"
-        ).fetchall()
-        for row in rows:
-            self._by_id[row[0]] = Ticket(
-                ticket_id=row[0],
-                agent_id=row[1],
-                device_id=row[2],
-                service=row[3],
-                status=row[4],
-                created_at=row[5],
-                task_id=row[6],
-                first_downloaded_at=row[7],
-                superseded_by=row[8],
-                children=[c for c in row[9].split(",") if c],
-            )
-
-    def _write(self, ticket: "Ticket") -> None:
-        self._conn.execute(
-            "INSERT INTO tickets (ticket_id, agent_id, device_id, service,"
-            " status, created_at, task_id, first_downloaded_at,"
-            " superseded_by, children)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
-            " ON CONFLICT(ticket_id) DO UPDATE SET agent_id=excluded.agent_id,"
-            " status=excluded.status,"
-            " first_downloaded_at=excluded.first_downloaded_at,"
-            " superseded_by=excluded.superseded_by, children=excluded.children",
-            (
-                ticket.ticket_id,
-                ticket.agent_id,
-                ticket.device_id,
-                ticket.service,
-                ticket.status,
-                ticket.created_at,
-                ticket.task_id,
-                ticket.first_downloaded_at,
-                ticket.superseded_by,
-                ",".join(ticket.children),
-            ),
-        )
-
-    def insert(self, ticket: "Ticket") -> None:
-        super().insert(ticket)
-        self._write(ticket)
-
-    def persist(self, ticket: "Ticket") -> None:
-        super().persist(ticket)
-        self._write(ticket)
-
-    def delete(self, ticket_id: str) -> None:
-        super().delete(ticket_id)
-        self._conn.execute("DELETE FROM tickets WHERE ticket_id = ?", (ticket_id,))
-        self._conn.execute("DELETE FROM results WHERE ticket_id = ?", (ticket_id,))
-
-
-# ------------------------------------------------------------- dedup stores
-class SqliteDedupTable:
-    """Durable drop-in for :class:`~repro.core.admission.DedupTable`.
-
-    Same interface, but bindings live in the ``dedup`` table and therefore
-    survive :meth:`GatewayStorage.on_crash` — a restarted gateway answers
-    retried uploads from the authoritative index instead of a best-effort
-    rebuild.
-    """
-
-    durable = True
-
-    def __init__(self, conn: sqlite3.Connection) -> None:
-        self._conn = conn
-
-    def lookup(self, task_id: str, now: Optional[float] = None) -> Optional[str]:
-        if not task_id:
-            return None
-        row = self._conn.execute(
-            "SELECT ticket_id, expires_at FROM dedup WHERE task_id = ?",
-            (task_id,),
-        ).fetchone()
-        if row is None:
-            return None
-        ticket_id, expires_at = row
-        if now is not None and expires_at is not None and now >= expires_at:
-            self.forget(task_id)
-            return None
-        return ticket_id
-
-    def bind(
-        self, task_id: str, ticket_id: str, expires_at: Optional[float] = None
-    ) -> None:
-        if not task_id:
-            return
-        self._conn.execute(
-            "INSERT INTO dedup (task_id, ticket_id, expires_at)"
-            " VALUES (?, ?, ?) ON CONFLICT(task_id) DO UPDATE SET"
-            " ticket_id=excluded.ticket_id, expires_at=excluded.expires_at",
-            (task_id, ticket_id, expires_at),
-        )
-
-    def set_expiry(self, task_id: str, expires_at: Optional[float]) -> None:
-        self._conn.execute(
-            "UPDATE dedup SET expires_at = ? WHERE task_id = ?",
-            (expires_at, task_id),
-        )
-
-    def purge_expired(self, now: float) -> int:
-        cur = self._conn.execute(
-            "DELETE FROM dedup WHERE expires_at IS NOT NULL AND expires_at <= ?",
-            (now,),
-        )
-        return cur.rowcount
-
-    def forget(self, task_id: str) -> None:
-        self._conn.execute("DELETE FROM dedup WHERE task_id = ?", (task_id,))
-
-    def clear(self) -> None:
-        self._conn.execute("DELETE FROM dedup")
-
-    def rebuild(self, tickets: Iterable[Any]) -> int:
-        self.clear()
-        n = 0
-        for ticket in tickets:
-            if ticket.task_id and ticket.status != "failed":
-                self.bind(ticket.task_id, ticket.ticket_id)
-                n += 1
-        return n
-
-    def items(self) -> list[tuple[str, str, Optional[float]]]:
-        """Every binding as ``(task_id, ticket_id, expires_at)`` (drain scan)."""
-        return [
-            (row[0], row[1], row[2])
-            for row in self._conn.execute(
-                "SELECT task_id, ticket_id, expires_at FROM dedup ORDER BY task_id"
-            )
-        ]
-
-    def __len__(self) -> int:
-        return self._conn.execute("SELECT COUNT(*) FROM dedup").fetchone()[0]
-
-
-# ------------------------------------------------------------- result stores
-class InMemoryResultStore:
-    """Retained result frames; the memory backend mirrors the ticket field."""
-
-    durable = False
-
-    def __init__(self) -> None:
-        self._frames: dict[str, bytes] = {}
-
-    def put(self, ticket_id: str, frame: bytes) -> None:
-        self._frames[ticket_id] = frame
-
-    def get(self, ticket_id: str) -> Optional[bytes]:
-        return self._frames.get(ticket_id)
-
-    def drop(self, ticket_id: str) -> None:
-        self._frames.pop(ticket_id, None)
-
-    def __len__(self) -> int:
-        return len(self._frames)
-
-
-class SqliteResultStore:
-    durable = True
-
-    def __init__(self, conn: sqlite3.Connection) -> None:
-        self._conn = conn
-
-    def put(self, ticket_id: str, frame: bytes) -> None:
-        self._conn.execute(
-            "INSERT INTO results (ticket_id, frame) VALUES (?, ?)"
-            " ON CONFLICT(ticket_id) DO UPDATE SET frame=excluded.frame",
-            (ticket_id, frame),
-        )
-
-    def get(self, ticket_id: str) -> Optional[bytes]:
-        row = self._conn.execute(
-            "SELECT frame FROM results WHERE ticket_id = ?", (ticket_id,)
-        ).fetchone()
-        return bytes(row[0]) if row is not None else None
-
-    def drop(self, ticket_id: str) -> None:
-        self._conn.execute("DELETE FROM results WHERE ticket_id = ?", (ticket_id,))
-
-    def __len__(self) -> int:
-        return self._conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
-
-
-# ------------------------------------------------------------- session stores
 @dataclass
 class SessionRecord:
-    """Durable state of one open device↔gateway streaming session.
+    """State of one open device↔gateway streaming session.
 
     Chunks and partial-result entries live beside the record in the store
     (keyed by session and ticket respectively); the record itself carries
@@ -385,10 +74,8 @@ class SessionRecord:
     ticket_id: str = ""
 
 
-class InMemorySessionStore:
-    """Volatile session state: dies with the gateway process."""
-
-    durable = False
+class SessionStore:
+    """Open upload sessions, their received chunks, and partial streams."""
 
     def __init__(self) -> None:
         self._by_id: dict[str, SessionRecord] = {}
@@ -399,10 +86,6 @@ class InMemorySessionStore:
     def create(self, record: SessionRecord) -> None:
         self._by_id[record.session_id] = record
         self._chunks.setdefault(record.session_id, {})
-
-    def persist(self, record: SessionRecord) -> None:
-        """Record a mutation.  Memory records are live objects: no-op."""
-        self._by_id.setdefault(record.session_id, record)
 
     def get(self, session_id: str) -> Optional[SessionRecord]:
         return self._by_id.get(session_id)
@@ -426,9 +109,6 @@ class InMemorySessionStore:
     def __len__(self) -> int:
         return len(self._by_id)
 
-    def max_seq(self, prefix: str) -> int:
-        return max((_seq_of(s, prefix) for s in self._by_id), default=0)
-
     # -- chunks -------------------------------------------------------------
     def put_chunk(self, session_id: str, offset: int, data: bytes) -> None:
         self._chunks.setdefault(session_id, {})[offset] = data
@@ -447,189 +127,34 @@ class InMemorySessionStore:
         self._partials.pop(ticket_id, None)
 
     def clear(self) -> None:
-        """Crash: every open upload and partial stream is process state."""
+        """Every open upload and partial stream dies with the process."""
         self._by_id.clear()
         self._chunks.clear()
         self._partials.clear()
 
 
-class SqliteSessionStore(InMemorySessionStore):
-    """Write-through session store: resume survives a gateway restart."""
-
-    durable = True
-
-    def __init__(self, conn: sqlite3.Connection) -> None:
-        super().__init__()
-        self._conn = conn
-        self._load()
-
-    def _load(self) -> None:
-        for row in self._conn.execute(
-            "SELECT session_id, device_id, task_id, total_bytes, digest,"
-            " created_at, last_contact, ticket_id FROM sessions"
-            " ORDER BY session_id"
-        ).fetchall():
-            self._by_id[row[0]] = SessionRecord(
-                session_id=row[0],
-                device_id=row[1],
-                task_id=row[2],
-                total_bytes=row[3],
-                digest=row[4],
-                created_at=row[5],
-                last_contact=row[6],
-                ticket_id=row[7],
-            )
-        for session_id, offset, data in self._conn.execute(
-            "SELECT session_id, offset, data FROM session_chunks"
-        ).fetchall():
-            self._chunks.setdefault(session_id, {})[offset] = bytes(data)
-        for ticket_id, seq, site, payload, at in self._conn.execute(
-            "SELECT ticket_id, seq, site, payload, at FROM session_partials"
-            " ORDER BY ticket_id, seq"
-        ).fetchall():
-            self._partials.setdefault(ticket_id, []).append(
-                {"seq": seq, "site": site, "payload": payload, "at": at}
-            )
-
-    def _write(self, record: SessionRecord) -> None:
-        self._conn.execute(
-            "INSERT INTO sessions (session_id, device_id, task_id,"
-            " total_bytes, digest, created_at, last_contact, ticket_id)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
-            " ON CONFLICT(session_id) DO UPDATE SET"
-            " last_contact=excluded.last_contact, ticket_id=excluded.ticket_id",
-            (
-                record.session_id,
-                record.device_id,
-                record.task_id,
-                record.total_bytes,
-                record.digest,
-                record.created_at,
-                record.last_contact,
-                record.ticket_id,
-            ),
-        )
-
-    def create(self, record: SessionRecord) -> None:
-        super().create(record)
-        self._write(record)
-
-    def persist(self, record: SessionRecord) -> None:
-        super().persist(record)
-        self._write(record)
-
-    def delete(self, session_id: str) -> None:
-        super().delete(session_id)
-        self._conn.execute(
-            "DELETE FROM sessions WHERE session_id = ?", (session_id,)
-        )
-        self._conn.execute(
-            "DELETE FROM session_chunks WHERE session_id = ?", (session_id,)
-        )
-
-    def put_chunk(self, session_id: str, offset: int, data: bytes) -> None:
-        super().put_chunk(session_id, offset, data)
-        self._conn.execute(
-            "INSERT INTO session_chunks (session_id, offset, data)"
-            " VALUES (?, ?, ?) ON CONFLICT(session_id, offset)"
-            " DO UPDATE SET data=excluded.data",
-            (session_id, offset, data),
-        )
-
-    def append_partial(self, ticket_id: str, entry: dict) -> None:
-        super().append_partial(ticket_id, entry)
-        self._conn.execute(
-            "INSERT OR REPLACE INTO session_partials"
-            " (ticket_id, seq, site, payload, at) VALUES (?, ?, ?, ?, ?)",
-            (
-                ticket_id,
-                entry.get("seq", 0),
-                entry.get("site", ""),
-                entry.get("payload", ""),
-                entry.get("at", 0.0),
-            ),
-        )
-
-    def drop_partials(self, ticket_id: str) -> None:
-        super().drop_partials(ticket_id)
-        self._conn.execute(
-            "DELETE FROM session_partials WHERE ticket_id = ?", (ticket_id,)
-        )
-
-
-# ------------------------------------------------------------------- bundle
 class GatewayStorage:
-    """One gateway's stores plus the crash/restart contract."""
+    """One gateway's stores plus what a crash keeps of them."""
 
-    def __init__(
-        self, backend: str, tickets, dedup, results, sessions=None
-    ) -> None:
-        self.backend = backend
-        self.tickets = tickets
-        self.dedup = dedup
-        self.results = results
-        self.sessions = sessions if sessions is not None else InMemorySessionStore()
-
-    @property
-    def durable(self) -> bool:
-        return bool(getattr(self.dedup, "durable", False))
+    def __init__(self, durable: bool) -> None:
+        #: A fleet member's index and sessions outlive a crash.
+        self.durable = durable
+        self.tickets = TicketStore()
+        self.dedup = DedupTable()
+        self.sessions = SessionStore()
 
     def on_crash(self) -> None:
-        """Volatile state dies with the process; durable state survives."""
+        """A standalone gateway loses its index and its open sessions."""
         if not self.durable:
             self.dedup.clear()
-        if not getattr(self.sessions, "durable", False):
             self.sessions.clear()
 
     def on_restart(self) -> int:
         """Recover the dedup index; returns the number of usable bindings.
 
-        Memory backend: best-effort rebuild from surviving tickets (the
-        pre-storage behaviour).  Sqlite backend: the index never died — the
-        binding count is reported as-is.  Session state follows the same
-        split: memory sessions died with the process (devices restart their
-        uploads from byte 0), sqlite sessions resume where they left off.
+        A standalone gateway rebuilds it from its surviving tickets; a
+        fleet member's index never died, and its count is reported as-is.
         """
         if self.durable:
             return len(self.dedup)
         return self.dedup.rebuild(self.tickets.values())
-
-
-def make_storage(
-    backend: str = "memory",
-    conn: Optional[sqlite3.Connection] = None,
-    path: str = "",
-) -> GatewayStorage:
-    """Build a :class:`GatewayStorage` bundle for ``backend``.
-
-    ``sqlite`` with an explicit ``conn`` attaches to (and recovers from)
-    an existing database — the process-replacement path; otherwise a
-    private database is opened at ``path`` (``""`` → ``:memory:``).
-    """
-    if backend == "memory":
-        return GatewayStorage(
-            "memory",
-            InMemoryTicketStore(),
-            DedupTable(),
-            InMemoryResultStore(),
-            InMemorySessionStore(),
-        )
-    if backend != "sqlite":
-        raise ValueError(f"unknown storage backend {backend!r}")
-    if conn is None:
-        conn = sqlite3.connect(path or ":memory:")
-    conn.executescript(_SCHEMA)
-    tickets = SqliteTicketStore(conn)
-    results = SqliteResultStore(conn)
-    # Recovered tickets get their retained result frames back; everything
-    # else (events, watchdogs) is re-armed by the adopting gateway.
-    for ticket in tickets.values():
-        if ticket.result_frame is None:
-            ticket.result_frame = results.get(ticket.ticket_id)
-    return GatewayStorage(
-        "sqlite",
-        tickets,
-        SqliteDedupTable(conn),
-        results,
-        SqliteSessionStore(conn),
-    )

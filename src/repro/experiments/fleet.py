@@ -16,12 +16,13 @@ one gateway crashes and restarts, so the collect path must also survive an
 owner outage.  Two modes face identical seeds and timing:
 
 * **fleet** — consistent-hash task ownership, claim forwarding to the
-  owner, sqlite-backed durable stores, collect-anywhere relays.  The
-  roamed retry is answered with the *winning* ticket (claim verdict
-  ``bound``), so exactly one agent runs per task.
-* **baseline** — the pre-fleet platform: same dedup logic, but per-gateway
-  and memory-backed.  Gateway B has never heard of the task, so every
-  roamed retry dispatches a **duplicate agent**.
+  owner, a dedup index that outlives a gateway crash, collect-anywhere
+  relays.  The roamed retry is answered with the *winning* ticket (claim
+  verdict ``bound``), so exactly one agent runs per task.
+* **baseline** — the pre-fleet platform: same dedup logic, but per-gateway,
+  with an index a crash wipes and restart rebuilds.  Gateway B has never
+  heard of the task, so every roamed retry dispatches a **duplicate
+  agent**.
 
 **churn** is the membership-lifecycle capstone.  Every gateway in the
 three-member fleet is taken through a full maintenance cycle — graceful
@@ -362,7 +363,6 @@ def fleet_config(enabled: bool) -> PDAgentConfig:
         selection_policy="first",
         retry_deadline_s=600.0,
         fleet_enabled=enabled,
-        storage_backend="sqlite" if enabled else "memory",
         dedup_ttl_s=120.0 if enabled else 0.0,
     )
 
@@ -545,7 +545,6 @@ def churn_config() -> PDAgentConfig:
         selection_policy="first",
         retry_deadline_s=600.0,
         fleet_enabled=True,
-        storage_backend="sqlite",
         dedup_ttl_s=300.0,
         fleet_suspicion_timeout_s=5.0,
         fleet_drain_timeout_s=15.0,

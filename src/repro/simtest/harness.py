@@ -156,10 +156,11 @@ def _config_for(spec: ScenarioSpec) -> PDAgentConfig:
     ticket well inside the horizon.  Dedup goes off only for the deliberate
     exactly-once injection.
 
-    Fleet specs additionally share one fleet across the gateways, with
-    sqlite-backed durable stores and a dedup TTL; other specs keep each
-    gateway a fleet of one under the pre-fleet configuration, so their
-    timelines (and stored artifacts) stay stable.
+    Fleet specs additionally share one fleet across the gateways, whose
+    members keep their dedup index and sessions across a crash, with a
+    dedup TTL; other specs keep each gateway a fleet of one under the
+    pre-fleet configuration, so their timelines (and stored artifacts)
+    stay stable.
     Streaming specs likewise turn on the session layer — with chunks small
     enough that a generated mid-upload LinkDown really lands between
     chunks, exercising resume rather than a single-exchange retry.
@@ -168,7 +169,6 @@ def _config_for(spec: ScenarioSpec) -> PDAgentConfig:
     if spec.fleet:
         extra_knobs.update(
             fleet_enabled=True,
-            storage_backend="sqlite",
             dedup_ttl_s=300.0,
             # Membership lifecycle: tight deterministic timers so failure
             # detection, drain quiesce, and rejoin all settle well inside

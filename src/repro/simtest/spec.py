@@ -224,7 +224,8 @@ class ScenarioSpec:
     burst: Optional[OverloadBurst] = None
     horizon: float = DEFAULT_HORIZON_S
     #: Run the gateways as a fleet tier: consistent-hash task ownership,
-    #: claim forwarding, sqlite-backed durable stores, dedup TTL.
+    #: claim forwarding, dedup indexes and sessions that outlive a gateway
+    #: crash, dedup TTL.
     fleet: bool = False
     #: Test hook: disable gateway dedup and deploy one task twice with the
     #: same task_id — a deliberate exactly-once violation the shrinker

@@ -29,6 +29,7 @@ from repro.apps.ebanking import (
 from repro.core import GATEWAY_PORT, DeploymentBuilder, PDAgentConfig
 from repro.core.fleet import (
     FLEET_CLAIM_PATH,
+    FLEET_MIGRATE_PATH,
     Fleet,
     HashRing,
     claim_reply,
@@ -46,7 +47,6 @@ GATEWAYS = ("gw-0", "gw-1", "gw-2")
 def fleet_config(**kw):
     kw.setdefault("selection_policy", "first")
     kw.setdefault("fleet_enabled", True)
-    kw.setdefault("storage_backend", "sqlite")
     return PDAgentConfig(**kw)
 
 
@@ -270,7 +270,7 @@ class TestRoamedRetry:
         assert counters["fleet.claims_refused"] >= 1
 
     def test_fleet_disabled_still_single_gateway_dedup(self):
-        config = fleet_config(fleet_enabled=False, storage_backend="memory")
+        config = fleet_config(fleet_enabled=False)
         dep = build_dep(config=config)
         subscribe(dep)
         assert dep.fleet is None
@@ -283,28 +283,29 @@ class TestRoamedRetry:
         assert len(dispatched_agents(dep)) == 2
 
 
+def post(dep, client, server, path, body):
+    return drive(
+        dep,
+        http_request(
+            dep.network, client, server, "POST", path,
+            body=body, body_size=len(body), port=GATEWAY_PORT,
+            raise_for_status=False,
+        ),
+    )
+
+
 class TestFleetOfOne:
     """Without a shared fleet, every gateway is its own one-member fleet."""
-
-    def post(self, dep, client, server, path, body):
-        return drive(
-            dep,
-            http_request(
-                dep.network, client, server, "POST", path,
-                body=body, body_size=len(body), port=GATEWAY_PORT,
-                raise_for_status=False,
-            ),
-        )
 
     def test_standalone_gateway_arbitrates_claims(self):
         dep = build_dep(config=fleet_config(fleet_enabled=False))
         assert dep.gateway("gw-0").fleet.members == ("gw-0",)
-        first = self.post(
+        first = post(
             dep, "gw-1", "gw-0", FLEET_CLAIM_PATH,
             claim_request("solo-task", "gw-1/t-1", "gw-1"),
         )
         assert parse_bytes(first.body).get("verdict") == "granted"
-        second = self.post(
+        second = post(
             dep, "gw-2", "gw-0", FLEET_CLAIM_PATH,
             claim_request("solo-task", "gw-2/t-1", "gw-2"),
         )
@@ -321,12 +322,66 @@ class TestFleetOfOne:
         assert gw.fleet.view.drains_completed == [("gw-0", 2)]
         # No successor to hand anything to: all of it stays, declared.
         assert gw.drain_leftover == {handle.ticket, "solo-drain"}
-        resp = self.post(dep, "pda", "gw-0", "/pi", b"<pi/>")
+        resp = post(dep, "pda", "gw-0", "/pi", b"<pi/>")
         assert resp.status == 503
         assert "Retry-After" in resp.headers
         assert "x-fleet-successor" not in resp.headers
         gw.restart()
         assert gw.fleet.view.state("gw-0") == "active"
+
+
+class TestFleetIntake:
+    """A malformed fleet RPC body gets a 400 and changes nothing."""
+
+    def test_claim_with_malformed_epoch_is_refused(self):
+        dep = build_dep()
+        body = b'<claim task="bad-epoch" ticket="gw-1/t-1" from="gw-1" epoch="x"/>'
+        resp = post(dep, "gw-1", "gw-0", FLEET_CLAIM_PATH, body)
+        assert resp.status == 400
+        assert dep.gateway("gw-0").dedup.lookup("bad-epoch") is None
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters.get("http_500", 0) == 0
+
+    def test_migrate_batch_with_malformed_item_applies_nothing(self):
+        dep = build_dep()
+        body = (
+            b'<migrate from="gw-1" epoch="1">'
+            b'<binding task="mig-task" ticket="gw-1/t-7"/>'
+            b'<ticket id="gw-1/t-8" created="abc"/>'
+            b"</migrate>"
+        )
+        resp = post(dep, "gw-1", "gw-0", FLEET_MIGRATE_PATH, body)
+        assert resp.status == 400
+        gw = dep.gateway("gw-0")
+        # The good binding ahead of the bad ticket was not applied either.
+        assert gw.dedup.lookup("mig-task") is None
+        assert gw.storage.tickets.get("gw-1/t-8") is None
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters.get("http_500", 0) == 0
+        assert counters.get("fleet.migrated_in", 0) == 0
+
+    def test_migrate_batch_applies_in_order(self):
+        dep = build_dep()
+        body = (
+            b'<migrate from="gw-1" epoch="1">'
+            b'<binding task="mig-task" ticket="gw-1/t-7"/>'
+            b'<binding task="mig-task" ticket="gw-2/t-3"/>'
+            b'<ticket id="gw-1/t-7" status="completed" created="2.5" task="mig-task">'
+            b"<frame>0a0b</frame></ticket>"
+            b"</migrate>"
+        )
+        resp = post(dep, "gw-1", "gw-0", FLEET_MIGRATE_PATH, body)
+        assert resp.status == 200
+        assert parse_bytes(resp.body).get("accepted") == "3"
+        gw = dep.gateway("gw-0")
+        # First wins: the second binding for the task is a conflict.
+        assert gw.dedup.lookup("mig-task") == "gw-1/t-7"
+        counters = dep.network.telemetry.metrics.snapshot()["counters"]
+        assert counters["fleet.migrate_conflicts"] == 1
+        ticket = gw.storage.tickets.get("gw-1/t-7")
+        assert ticket.result_frame == b"\x0a\x0b"
+        assert ticket.completed.triggered
+        assert gw.file_directory.held("gw-1/t-7") == 2
 
 
 def test_ticket_origin():
@@ -388,7 +443,8 @@ class TestCollectAnywhere:
         gw = dep.gateway(origin)
         gw.crash()
         gw.restart()
-        # sqlite store: ticket, result document and dedup binding survived.
+        # Ticket, result document and (a fleet member's) dedup binding
+        # all survived the crash.
         result = drive(dep, dep.platform("pda").collect(handle, via=third))
         assert result.status == "completed"
         retry = deploy(dep, third, task_id="dur-task")

@@ -125,6 +125,29 @@ def run_fresh(body: str, block_networkx: bool = False) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+#: A fleet spec whose owner gateway crashes and restarts.
+FLEET_CRASH_RUN = """
+from repro.simtest.harness import run_spec
+from repro.simtest.spec import generate
+
+spec = generate(0)
+assert spec.fleet and spec.crashes
+report = {"violations": len(run_spec(spec).violations)}
+report["sqlite3"] = "sqlite3" in sys.modules
+"""
+
+
+class TestNoSqlite:
+    """Gateway stores live in memory: a fleet run that crashes its owner
+    gateway loads no sqlite3.  Checked in a fresh interpreter because
+    coverage.py imports sqlite3 into a ``--cov`` pytest process."""
+
+    def test_fleet_crash_run_never_imports_sqlite3(self):
+        report = run_fresh(FLEET_CRASH_RUN)
+        assert report["violations"] == 0
+        assert report["sqlite3"] is False
+
+
 class TestNetworkxOnDemand:
     """networkx is imported by the first route that needs a graph search,
     so a star deployment, routed by leaf links alone, never loads it."""

@@ -1,14 +1,12 @@
 """Streaming session layer: stores, resumable upload, partials, push.
 
-Covers the session stores' backend parity and crash semantics, the chunked
-upload protocol end to end (happy path, mid-upload link flap, gateway
-crash/restart under both storage backends), exactly-once across retried
+Covers the session store, the chunked upload protocol end to end (happy
+path, mid-upload link flap, gateway crash/restart on a standalone gateway
+and on a fleet member), exactly-once across retried
 commits, digest verification, partial-result streaming with cursor/epoch
 semantics, reconnect-window push, TTL reaping, and the hop-progress
 adaptive-polling satellite.
 """
-
-import sqlite3
 
 import pytest
 
@@ -24,12 +22,7 @@ from repro.core.session import (
     CHUNK_OFFSET_HEADER,
     NEXT_OFFSET_HEADER,
 )
-from repro.core.storage import (
-    _SCHEMA,
-    InMemorySessionStore,
-    SessionRecord,
-    SqliteSessionStore,
-)
+from repro.core.storage import SessionRecord, SessionStore
 from repro.device.session import DeviceSession
 from repro.mas import Stop
 from repro.xmlcodec import Element, parse_bytes, write_bytes
@@ -92,13 +85,9 @@ def packed_frame(dep, platform, task_id, n=4):
 
 
 # ---------------------------------------------------------------- stores
-@pytest.fixture(params=["memory", "sqlite"])
-def session_store(request):
-    if request.param == "memory":
-        return InMemorySessionStore()
-    conn = sqlite3.connect(":memory:")
-    conn.executescript(_SCHEMA)
-    return SqliteSessionStore(conn)
+@pytest.fixture
+def session_store():
+    return SessionStore()
 
 
 def record(sid="gw/s-1", task="task-1", total=100):
@@ -119,13 +108,15 @@ class TestSessionStores:
         assert session_store.get("gw/s-1") is None
         assert session_store.by_task("task-1") is None
 
-    def test_persist_mutation_survives_reload(self, session_store):
+    def test_mutated_record_is_the_stored_one(self, session_store):
+        # The store keeps the record object itself, so the session layer's
+        # in-place updates need no write-back.
         rec = record()
         session_store.create(rec)
         rec.ticket_id = "gw/t-9"
         rec.last_contact = 4.5
-        session_store.persist(rec)
         got = session_store.get("gw/s-1")
+        assert got is rec
         assert got.ticket_id == "gw/t-9"
         assert got.last_contact == 4.5
 
@@ -145,28 +136,6 @@ class TestSessionStores:
         assert session_store.partials("gw/t-2") == []
         session_store.drop_partials("gw/t-1")
         assert session_store.partials("gw/t-1") == []
-
-    def test_max_seq_counts_only_matching_prefix(self, session_store):
-        session_store.create(record(sid="gw/s-7", task="t7"))
-        session_store.create(record(sid="other/s-9", task="t9"))
-        assert session_store.max_seq("gw/s-") == 7
-        assert session_store.max_seq("nowhere/s-") == 0
-
-    def test_sqlite_survives_reload_memory_does_not(self):
-        conn = sqlite3.connect(":memory:")
-        conn.executescript(_SCHEMA)
-        store = SqliteSessionStore(conn)
-        store.create(record())
-        store.put_chunk("gw/s-1", 0, b"abcd")
-        store.clear()  # crash wipes the volatile mirror ...
-        reloaded = SqliteSessionStore(conn)  # ... restart re-reads the db
-        assert reloaded.get("gw/s-1") is not None
-        assert reloaded.chunks("gw/s-1") == {0: b"abcd"}
-
-        mem = InMemorySessionStore()
-        mem.create(record())
-        mem.clear()
-        assert mem.get("gw/s-1") is None
 
 
 # ---------------------------------------------------------------- happy path
@@ -277,9 +246,11 @@ class TestStreamingUnderFaults:
         counters = dep.network.telemetry.metrics.snapshot()["counters"]
         assert counters["gateway.session_commits"] == 1
 
-    def test_gateway_restart_sqlite_resumes_from_prefix(self):
-        config = session_config(storage_backend="sqlite")
+    def test_gateway_restart_fleet_member_resumes_from_prefix(self):
+        # A fleet member's sessions survive its crash.
+        config = session_config(fleet_enabled=True)
         dep = build_dep(config=config)
+        assert dep.gateway("gw-0").storage.durable
         platform = dep.platform("pda")
         subscribe(dep, platform)
         frame = packed_frame(dep, platform, task_id="task-crash")
@@ -299,14 +270,14 @@ class TestStreamingUnderFaults:
         dep.sim.process(crasher())
         ticket, _ = drive(dep, session.upload())
         assert ticket.startswith("gw-0/t-")
-        # Durable ranges survived: nothing before the crash was re-uploaded
+        # The received ranges survived: nothing before the crash was re-uploaded
         # beyond at most the chunk in flight plus the resync handshake.
         assert session.bytes_sent <= len(frame) + 2 * 64
         counters = dep.network.telemetry.metrics.snapshot()["counters"]
         assert counters["gateway.session_commits"] == 1
 
-    def test_gateway_restart_memory_restarts_from_zero(self):
-        dep = build_dep()  # memory backend: sessions die with the process
+    def test_gateway_restart_standalone_restarts_from_zero(self):
+        dep = build_dep()  # standalone gateway: sessions die with the process
         platform = dep.platform("pda")
         subscribe(dep, platform)
         frame = packed_frame(dep, platform, task_id="task-wipe")
@@ -334,7 +305,7 @@ class TestStreamingUnderFaults:
         assert counters["gateway.session_commits"] == 1
 
     def test_epoch_change_resets_partial_cursor(self):
-        config = session_config(storage_backend="sqlite")
+        config = session_config(fleet_enabled=True)
         dep = build_dep(config=config)
         platform = dep.platform("pda")
         subscribe(dep, platform)

@@ -1,23 +1,18 @@
-"""Tests for the gateway storage adapters (memory + sqlite backends).
+"""Tests for the gateway stores and what a gateway crash keeps of them.
 
-The fleet tier's durability story rests on these contracts:
-
-* the two backends expose the same API and agree on observable behaviour
-  (parity), so the gateway code never branches on the backend;
-* a sqlite store constructed over a populated connection recovers the
-  full working set — tickets, dedup bindings, retained result frames —
-  which is the crash/restart and process-replacement path;
-* ``GatewayStorage.on_crash``/``on_restart`` implement the crash model:
-  memory wipes the dedup index and rebuilds best-effort from tickets,
-  sqlite keeps the authoritative index alive across the crash.
+* the ticket and dedup stores answer the way the gateway relies on;
+* ``GatewayStorage.on_crash``/``on_restart`` implement the crash model: a
+  standalone gateway (``durable=False``) loses its dedup index and open
+  upload sessions and rebuilds the index from its tickets; a fleet member
+  (``durable=True``) keeps both, including bindings for tickets that other
+  gateways minted.
 """
 
-import sqlite3
-
-import pytest
-
-from repro.core import make_storage
+from repro.core import GatewayStorage
 from repro.core.gateway import Ticket
+from repro.core.storage import SessionRecord
+from repro.simnet.kernel import Simulator
+from repro.simnet.primitives import Event
 
 
 def tk(ticket_id, task_id="", status="dispatched", **kw):
@@ -28,17 +23,25 @@ def tk(ticket_id, task_id="", status="dispatched", **kw):
         ticket_id=ticket_id,
         status=status,
         created_at=1.0,
+        completed=Event(Simulator()),
         task_id=task_id,
         **kw,
     )
 
 
-class TestBackendParity:
-    """Both backends answer the same way to the same call sequence."""
+def open_session(storage, sid="gw-0/s-1", task="task-1"):
+    storage.sessions.create(
+        SessionRecord(
+            session_id=sid, device_id="pda", task_id=task,
+            total_bytes=100, digest="", created_at=0.0,
+        )
+    )
+    storage.sessions.put_chunk(sid, 0, b"abcd")
 
-    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-    def test_ticket_store_roundtrip(self, backend):
-        storage = make_storage(backend)
+
+class TestStores:
+    def test_ticket_store_roundtrip(self):
+        storage = GatewayStorage(durable=False)
         assert len(storage.tickets) == 0
         ticket = tk("gw-0/t-1", task_id="task-1")
         storage.tickets.insert(ticket)
@@ -46,13 +49,12 @@ class TestBackendParity:
         assert storage.tickets.get("gw-0/t-1") is ticket
         assert storage.tickets.get("gw-0/t-9") is None
         assert storage.tickets.values() == [ticket]
-        ticket.status = "completed"
-        storage.tickets.persist(ticket)
-        assert storage.tickets.get("gw-0/t-1").status == "completed"
+        storage.tickets.delete("gw-0/t-1")
+        storage.tickets.delete("gw-0/t-1")  # idempotent
+        assert "gw-0/t-1" not in storage.tickets
 
-    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-    def test_dedup_roundtrip_with_ttl(self, backend):
-        dedup = make_storage(backend).dedup
+    def test_dedup_roundtrip_with_ttl(self):
+        dedup = GatewayStorage(durable=False).dedup
         dedup.bind("task-1", "gw-0/t-1")
         dedup.bind("", "ignored")  # empty task ids never bind
         assert dedup.lookup("task-1") == "gw-0/t-1"
@@ -62,11 +64,10 @@ class TestBackendParity:
         dedup.set_expiry("task-1", 10.0)
         assert dedup.lookup("task-1", now=9.99) == "gw-0/t-1"
         assert dedup.lookup("task-1", now=10.0) is None
-        assert len(dedup) == 0  # lazy expiry also purged the row/entry
+        assert len(dedup) == 0  # lazy expiry also purged the entry
 
-    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-    def test_dedup_purge_expired(self, backend):
-        dedup = make_storage(backend).dedup
+    def test_dedup_purge_expired(self):
+        dedup = GatewayStorage(durable=False).dedup
         dedup.bind("a", "t-a", expires_at=5.0)
         dedup.bind("b", "t-b", expires_at=50.0)
         dedup.bind("c", "t-c")  # no expiry: lives forever
@@ -75,97 +76,38 @@ class TestBackendParity:
         assert dedup.lookup("b") == "t-b"
         assert dedup.lookup("c") == "t-c"
 
-    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-    def test_result_store_roundtrip(self, backend):
-        results = make_storage(backend).results
-        results.put("gw-0/t-1", b"<result/>")
-        assert results.get("gw-0/t-1") == b"<result/>"
-        results.put("gw-0/t-1", b"<result v='2'/>")  # overwrite
-        assert results.get("gw-0/t-1") == b"<result v='2'/>"
-        assert len(results) == 1
-        results.drop("gw-0/t-1")
-        results.drop("gw-0/t-1")  # idempotent
-        assert results.get("gw-0/t-1") is None
-
-    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-    def test_max_seq_resumes_ticket_counter(self, backend):
-        tickets = make_storage(backend).tickets
-        for n in (1, 2, 7):
-            tickets.insert(tk(f"gw-0/t-{n}"))
-        tickets.insert(tk("gw-1/t-40"))  # foreign prefix must not count
-        assert tickets.max_seq("gw-0/t-") == 7
-        assert tickets.max_seq("gw-1/t-") == 40
-        assert tickets.max_seq("gw-2/t-") == 0
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown storage backend"):
-            make_storage("redis")
-
-
-class TestSqliteRecovery:
-    """A fresh store over the same connection recovers the working set."""
-
-    def test_tickets_dedup_results_survive_process_replacement(self):
-        conn = sqlite3.connect(":memory:")
-        first = make_storage("sqlite", conn=conn)
-        done = tk("gw-0/t-1", task_id="task-1", status="completed")
-        done.result_frame = b"<frames/>"
-        first.tickets.insert(done)
-        first.tickets.persist(done)
-        first.results.put(done.ticket_id, done.result_frame)
-        first.dedup.bind("task-1", done.ticket_id)
-        first.tickets.insert(tk("gw-0/t-2", task_id="task-2"))
-        first.dedup.bind("task-2", "gw-0/t-2", expires_at=99.0)
-
-        # "Process replacement": new adapters, same database.
-        second = make_storage("sqlite", conn=conn)
-        recovered = second.tickets.get("gw-0/t-1")
-        assert recovered is not None and recovered is not done
-        assert recovered.status == "completed"
-        assert recovered.task_id == "task-1"
-        # Retained result frames are re-attached during recovery…
-        assert recovered.result_frame == b"<frames/>"
-        # …but kernel events are process state and come back unarmed.
-        assert recovered.completed is None
-        assert second.dedup.lookup("task-1") == "gw-0/t-1"
-        assert second.dedup.lookup("task-2", now=100.0) is None  # TTL held
-        assert second.tickets.max_seq("gw-0/t-") == 2
-
-    def test_recovery_preserves_supersede_chain(self):
-        conn = sqlite3.connect(":memory:")
-        first = make_storage("sqlite", conn=conn)
-        loser = tk("gw-0/t-1", task_id="task-1", status="superseded")
-        loser.superseded_by = "gw-1/t-1"
-        loser.children = ["gw-0/t-2"]
-        first.tickets.insert(loser)
-        first.tickets.persist(loser)
-        second = make_storage("sqlite", conn=conn)
-        recovered = second.tickets.get("gw-0/t-1")
-        assert recovered.superseded_by == "gw-1/t-1"
-        assert recovered.children == ["gw-0/t-2"]
-
 
 class TestCrashRestartContract:
-    def test_memory_crash_wipes_dedup_and_restart_rebuilds(self):
-        storage = make_storage("memory")
-        assert not storage.durable
+    def test_volatile_crash_wipes_dedup_and_sessions_restart_rebuilds(self):
+        storage = GatewayStorage(durable=False)
         storage.tickets.insert(tk("gw-0/t-1", task_id="task-1"))
         storage.tickets.insert(tk("gw-0/t-2", task_id="task-2", status="failed"))
         storage.dedup.bind("task-1", "gw-0/t-1")
         storage.dedup.bind("task-2", "gw-0/t-2")
+        open_session(storage)
         storage.on_crash()
         assert storage.dedup.lookup("task-1") is None  # volatile: gone
+        assert storage.sessions.get("gw-0/s-1") is None
+        assert storage.sessions.chunks("gw-0/s-1") == {}
+        assert storage.tickets.get("gw-0/t-1") is not None  # tickets survive
         rebuilt = storage.on_restart()
         assert rebuilt == 1
         assert storage.dedup.lookup("task-1") == "gw-0/t-1"
         # failed tickets never re-bind: their tasks retry afresh
         assert storage.dedup.lookup("task-2") is None
 
-    def test_sqlite_dedup_survives_crash_untouched(self):
-        storage = make_storage("sqlite")
-        assert storage.durable
+    def test_durable_crash_keeps_dedup_and_sessions(self):
+        storage = GatewayStorage(durable=True)
         storage.tickets.insert(tk("gw-0/t-1", task_id="task-1"))
         storage.dedup.bind("task-1", "gw-0/t-1")
+        # A claim this owner granted for a ticket another gateway minted:
+        # no rebuild from its own tickets could restore it.
+        storage.dedup.bind("task-9", "gw-1/t-5")
+        open_session(storage)
         storage.on_crash()
         assert storage.dedup.lookup("task-1") == "gw-0/t-1"
-        assert storage.on_restart() == 1  # index never died: reported as-is
+        assert storage.dedup.lookup("task-9") == "gw-1/t-5"
+        assert storage.sessions.get("gw-0/s-1") is not None
+        assert storage.sessions.chunks("gw-0/s-1") == {0: b"abcd"}
+        assert storage.on_restart() == 2  # index never died: reported as-is
+        assert storage.dedup.lookup("task-9") == "gw-1/t-5"
