@@ -7,8 +7,9 @@ it on by default.
 """
 
 import random
+from unittest import mock
 
-from repro.crypto import KeyVault, generate_keypair, open_envelope, seal
+from repro.crypto import KeyVault, generate_keypair, open_envelope, rsa, seal
 from repro.experiments.ablations import run_security_ablation
 from repro.experiments.report import format_table
 
@@ -53,7 +54,10 @@ def test_seal_throughput(benchmark):
 def test_open_throughput(benchmark):
     payload = b"<pi>transactions</pi>" * 100
     frame = seal(payload, KEYPAIR.public, _rng_bytes())
-    out = benchmark(open_envelope, frame, KEYPAIR)
+    # Open with the plaintext memo emptied, so each open runs the CRT
+    # decryption: both this seal and test_seal_throughput's record the block.
+    with mock.patch.dict(rsa._PLAINTEXTS, clear=True):
+        out = benchmark(open_envelope, frame, KEYPAIR)
     assert out == payload
 
 

@@ -39,7 +39,12 @@ class CompressionError(Exception):
 
 
 class Codec(Protocol):
-    """A stateless byte-to-byte codec."""
+    """A byte-to-byte codec.
+
+    ``encode`` is a pure function of its input, and ``decode(encode(x),
+    len(x)) == x``.  A codec may remember what it encoded to answer those
+    decodes by lookup (LZSS does); any other body must be decoded.
+    """
 
     name: str
     codec_id: int
@@ -77,11 +82,12 @@ def codec_names() -> list[str]:
     return sorted(_BY_NAME)
 
 
-# Frame memo: codecs are stateless pure functions, so identical inputs
+# Frame memo: every codec's encode is a pure function, so identical inputs
 # always produce identical frames — and the platform compresses the *same*
 # service code / agent state for every device in a population sweep.  FIFO
 # eviction bounds memory; correctness does not depend on hit rate.  Frames
-# asked of the null codec skip it: they cost no encode to rebuild.
+# asked of the null codec skip it: they cost no encode to rebuild.  The
+# inverse memo, body -> input, belongs to the LZSS codec (``LzssCodec``).
 _FRAME_CACHE: dict[tuple[str, bytes], bytes] = {}
 _FRAME_CACHE_MAX = 512
 

@@ -18,6 +18,11 @@ in-window candidate (appended as literal runs without a search), the bit
 packing and, on decode, the unpacking and the runs of literal units
 (copied as slices).  The Python loops step once per literal run and once
 per position with a candidate (encode) or per match (decode).
+
+Each codec instance also remembers the inputs of the last ``_MEMO_MAX``
+bodies it encoded.  ``decode(encode(x), len(x)) == x`` is the round trip,
+so decoding one of those bodies at that length is a lookup; every other
+body runs the decoder.
 """
 
 from __future__ import annotations
@@ -32,6 +37,9 @@ MAX_MATCH = MIN_MATCH + (1 << 5) - 1  # 5-bit length field
 _MAX_CHAIN = 64  # bound the match-finder work per position
 _NO_LINK = -WINDOW_SIZE - 1  # a chain link no position's window reaches
 _UNIT_WEIGHTS = 1 << np.arange(8, -1, -1, dtype=np.uint16)  # MSB-first
+# Bodies whose inputs an instance remembers: the 512 frames the compression
+# memo can serve without encoding, plus 128 encodes made while frames travel.
+_MEMO_MAX = 640
 
 
 def _next_at_or_after(marks: np.ndarray, size: int) -> memoryview:
@@ -68,10 +76,14 @@ def _chains(data: bytes) -> tuple[memoryview, memoryview]:
 
 
 class LzssCodec:
-    """Sliding-window dictionary coder."""
+    """Sliding-window dictionary coder with a memo of what it encoded."""
 
     name = "lzss"
     codec_id = 2
+
+    def __init__(self) -> None:
+        #: body -> input, in the order ``encode`` last built each body.
+        self._inputs: dict[bytes, bytes] = {}
 
     def encode(self, data: bytes) -> bytes:
         n = len(data)
@@ -119,48 +131,63 @@ class LzssCodec:
                 i += 1
         # Each unit as 16 big-endian bits; its low 9 are the stream.
         bits = np.unpackbits(np.array(units, dtype=">u2").view(np.uint8))
-        return np.packbits(bits.reshape(-1, 16)[:, 7:]).tobytes()
+        body = np.packbits(bits.reshape(-1, 16)[:, 7:]).tobytes()
+        inputs = self._inputs
+        inputs.pop(body, None)
+        inputs[body] = bytes(data)
+        if len(inputs) > _MEMO_MAX:
+            del inputs[next(iter(inputs))]
+        return body
 
     def decode(self, data: bytes, original_length: int) -> bytes:
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-        m = bits.size // 9  # whole units; the rest is padding
-        units = bits[: m * 9].reshape(m, 9) @ _UNIT_WEIGHTS
-        low = units.astype(np.uint8).tobytes()
-        flagged = _next_at_or_after(np.flatnonzero(units >> 8), m)
-        # Every unit read as the first half of a match: distance and length.
-        token = (units[:-1] & 0xFF).astype(np.int32) << 9 | units[1:]
-        dists = memoryview((token >> 5) + 1)
-        lengths = memoryview((token & 0x1F) + MIN_MATCH)
-        out = bytearray()
-        produced = 0
-        k = 0
-        while produced < original_length:
-            j = flagged[k]
-            if j > k:
-                # Units k..j-1 are literals: copy their low bytes at once.
-                if j - k > original_length - produced:
-                    j = k + original_length - produced
-                out += low[k:j]
-                produced += j - k
-                k = j
-                continue
-            if k + 1 >= m:
-                raise EOFError("bit stream exhausted")
-            dist = dists[k]
-            length = lengths[k]
-            start = produced - dist
-            if start < 0:
-                raise ValueError("corrupt lzss stream: distance underflow")
-            if dist >= length:
-                out += out[start : start + length]
-            else:
-                # Overlapping copy: the match repeats the last ``dist``
-                # bytes, so tile that pattern instead of copying per byte.
-                pattern = out[start:produced]
-                reps, rem = divmod(length, dist)
-                out += pattern * reps + pattern[:rem]
-            produced += length
-            k += 2
-        if produced != original_length:
-            raise ValueError("corrupt lzss stream: length overshoot")
-        return bytes(out)
+        if isinstance(data, bytes):
+            known = self._inputs.get(data)
+            if known is not None and len(known) == original_length:
+                return known
+        return _decode(data, original_length)
+
+
+def _decode(data: bytes, original_length: int) -> bytes:
+    """The decoder proper: ``original_length`` bytes from the unit stream."""
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    m = bits.size // 9  # whole units; the rest is padding
+    units = bits[: m * 9].reshape(m, 9) @ _UNIT_WEIGHTS
+    low = units.astype(np.uint8).tobytes()
+    flagged = _next_at_or_after(np.flatnonzero(units >> 8), m)
+    # Every unit read as the first half of a match: distance and length.
+    token = (units[:-1] & 0xFF).astype(np.int32) << 9 | units[1:]
+    dists = memoryview((token >> 5) + 1)
+    lengths = memoryview((token & 0x1F) + MIN_MATCH)
+    out = bytearray()
+    produced = 0
+    k = 0
+    while produced < original_length:
+        j = flagged[k]
+        if j > k:
+            # Units k..j-1 are literals: copy their low bytes at once.
+            if j - k > original_length - produced:
+                j = k + original_length - produced
+            out += low[k:j]
+            produced += j - k
+            k = j
+            continue
+        if k + 1 >= m:
+            raise EOFError("bit stream exhausted")
+        dist = dists[k]
+        length = lengths[k]
+        start = produced - dist
+        if start < 0:
+            raise ValueError("corrupt lzss stream: distance underflow")
+        if dist >= length:
+            out += out[start : start + length]
+        else:
+            # Overlapping copy: the match repeats the last ``dist``
+            # bytes, so tile that pattern instead of copying per byte.
+            pattern = out[start:produced]
+            reps, rem = divmod(length, dist)
+            out += pattern * reps + pattern[:rem]
+        produced += length
+        k += 2
+    if produced != original_length:
+        raise ValueError("corrupt lzss stream: length overshoot")
+    return bytes(out)

@@ -1047,7 +1047,8 @@ class Gateway:
         result collection stays responsive through an upload storm.  The
         first successful download arms the retention TTL; a ticket whose
         document has been reclaimed answers 410 ("expired" — the task ran,
-        you came back too late), distinct from 404 ("unknown ticket").
+        you came back too late; or "disposed"), distinct from 404
+        ("unknown ticket").
         """
         arrived = self.sim.now
         try:
@@ -1113,10 +1114,9 @@ class Gateway:
             ticket = self.ticket(ticket_id)
         except GatewayError as exc:
             return HttpResponse(404, reason=str(exc))
-        if ticket.status == "expired":
-            return HttpResponse(
-                410, reason=f"result for {ticket_id} expired after download"
-            )
+        if ticket.status in ("expired", "disposed"):
+            why = "expired after download" if ticket.status == "expired" else "disposed"
+            return HttpResponse(410, reason=f"result for {ticket_id} {why}")
         if ticket.result_frame is None:
             return HttpResponse(
                 204,
@@ -1288,6 +1288,9 @@ class Gateway:
             except Exception as exc:
                 return HttpResponse(409, reason=f"dispose failed: {exc}")
             ticket.status = "disposed"
+            # The result document lives in the workspace: both go now, and
+            # a later download gets the 410 of an expired result.
+            ticket.result_frame = None
             self.file_directory.release(ticket.ticket_id)
             self.storage.sessions.drop_partials(ticket.ticket_id)
             self._arm_dedup_expiry(ticket)

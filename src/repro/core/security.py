@@ -72,29 +72,19 @@ class DeviceSecurity:
 class GatewaySecurity:
     """Gateway-side verification and decryption of inbound PI."""
 
-    # Keep at most this many recovered session keys (≈ one per active
-    # device); FIFO eviction bounds memory at population scale.
-    _SESSION_CACHE_MAX = 8192
-
     def __init__(self, config: PDAgentConfig, private_key: PrivateKey) -> None:
         self.config = config
         self.private_key = private_key
-        self._session_cache: dict[bytes, bytes] = {}
 
     def unprotect(self, frame: bytes) -> bytes:
         """Verify (MD5) then decrypt an inbound PI frame.
 
         Accepts both sealed and plain frames, so a mixed deployment (some
-        devices with encryption disabled) still interoperates.  Session keys
-        recovered from verified envelopes are cached so a device reusing its
-        envelope session costs one CRT decryption, not one per upload.
+        devices with encryption disabled) still interoperates.
         """
         if frame[:4] == PLAIN_MAGIC:
             return _open_plain(frame)
-        payload = open_envelope(frame, self.private_key, self._session_cache)
-        while len(self._session_cache) > self._SESSION_CACHE_MAX:
-            self._session_cache.pop(next(iter(self._session_cache)))
-        return payload
+        return open_envelope(frame, self.private_key)
 
     def protect_result(self, payload: bytes) -> bytes:
         """Integrity-tag an outbound result document."""

@@ -66,13 +66,13 @@ def _xor(data: bytes, stream: bytes) -> bytes:
 class EnvelopeSession:
     """A reusable ``(session_key, rsa_block)`` pair for one recipient key.
 
-    The expensive asymmetric work — the device's modexp and, above all, the
-    gateway's CRT decryption — depends only on the session key, so a device
-    that uploads repeatedly to the same gateway can amortize it TLS-session
-    style: the gateway recognises a previously decrypted ``rsa_block`` and
-    skips straight to the symmetric layer.  This is a protocol *model* (see
-    the module docstring): a production scheme would re-key the symmetric
-    stream per message rather than reuse the MD5-counter keystream.
+    The device's modexp depends only on the session key, so a device that
+    uploads repeatedly to the same gateway pays it once, TLS-session style.
+    The gateway's CRT decryption is skipped for every block this process
+    encrypted: ``decrypt_int`` answers from ``encrypt_int``'s plaintext
+    memo.  This is a protocol *model* (see the module docstring): a
+    production scheme would re-key the symmetric stream per message rather
+    than reuse the MD5-counter keystream.
     """
 
     __slots__ = ("session_key", "rsa_block")
@@ -124,21 +124,11 @@ def seal(plaintext: bytes, public_key: PublicKey, rng_bytes) -> bytes:
     return seal_with_session(plaintext, new_session(public_key, rng_bytes))
 
 
-def open_envelope(
-    frame: bytes,
-    private_key: PrivateKey,
-    session_cache: dict | None = None,
-) -> bytes:
+def open_envelope(frame: bytes, private_key: PrivateKey) -> bytes:
     """Verify and decrypt an envelope produced by :func:`seal`.
 
     Raises :class:`IntegrityError` if the MD5 tag does not match (the
     gateway's step-2 check) and :class:`CryptoError` for structural damage.
-
-    ``session_cache`` maps ``rsa_block`` bytes to already-recovered session
-    keys: the CRT decryption is by far the costliest step, and a device
-    reusing its session uploads the same ``rsa_block`` every time.  Only
-    *verified* recoveries enter the cache, and a hit still re-checks the
-    frame's MD5 tag, so a forged frame can neither poison nor exploit it.
     """
     if len(frame) < 6:
         raise CryptoError("envelope shorter than header")
@@ -153,22 +143,17 @@ def open_envelope(
     ciphertext = frame[header_len + 16 :]
     if md5(header + ciphertext) != tag:
         raise IntegrityError("MD5 verification failed")
-    rsa_block = frame[6:header_len]
-    session_key = session_cache.get(rsa_block) if session_cache is not None else None
-    if session_key is None:
-        c = int.from_bytes(rsa_block, "big")
-        m = decrypt_int(c, private_key)
-        block = m.to_bytes(private_key.n.bit_length() // 8 + 1, "big").lstrip(b"\x00")
-        # block = 0x01 || pad || 0x00 || session_key
-        if not block or block[0] != 0x01:
-            raise CryptoError("malformed session-key block")
-        try:
-            sep = block.index(0, 1)
-        except ValueError:
-            raise CryptoError("malformed session-key block") from None
-        session_key = block[sep + 1 :]
-        if len(session_key) != SESSION_KEY_BYTES:
-            raise CryptoError("malformed session key")
-        if session_cache is not None:
-            session_cache[rsa_block] = session_key
+    c = int.from_bytes(frame[6:header_len], "big")
+    m = decrypt_int(c, private_key)
+    block = m.to_bytes(private_key.n.bit_length() // 8 + 1, "big").lstrip(b"\x00")
+    # block = 0x01 || pad || 0x00 || session_key
+    if not block or block[0] != 0x01:
+        raise CryptoError("malformed session-key block")
+    try:
+        sep = block.index(0, 1)
+    except ValueError:
+        raise CryptoError("malformed session-key block") from None
+    session_key = block[sep + 1 :]
+    if len(session_key) != SESSION_KEY_BYTES:
+        raise CryptoError("malformed session key")
     return _xor(ciphertext, keystream(session_key, len(ciphertext)))

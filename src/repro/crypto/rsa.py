@@ -248,11 +248,22 @@ def _generate_keypair(bits: int, seed: int | None) -> PrivateKey:
         return PrivateKey(n=n, e=e, d=d, p=p, q=q)
 
 
+#: ``(n, e, c) -> m`` for the last ``_PLAINTEXTS_MAX`` blocks ``encrypt_int``
+#: produced.  RSA permutes ``[0, n)``, so ``m`` is exactly what the private
+#: key's holder recovers, and :func:`decrypt_int` returns it without the CRT.
+_PLAINTEXTS: dict[tuple[int, int, int], int] = {}
+_PLAINTEXTS_MAX = 8192
+
+
 def encrypt_int(m: int, key: PublicKey) -> int:
     """Raw RSA: ``m^e mod n``.  ``m`` must be < n."""
     if not 0 <= m < key.n:
         raise CryptoError("plaintext integer out of range for this key")
-    return pow(m, key.e, key.n)
+    c = pow(m, key.e, key.n)
+    _PLAINTEXTS[key.n, key.e, c] = m
+    if len(_PLAINTEXTS) > _PLAINTEXTS_MAX:
+        del _PLAINTEXTS[next(iter(_PLAINTEXTS))]
+    return c
 
 
 @lru_cache(maxsize=None)
@@ -262,9 +273,14 @@ def _crt_params(key: PrivateKey) -> tuple[int, int, int]:
 
 
 def decrypt_int(c: int, key: PrivateKey) -> int:
-    """Raw RSA decryption using the CRT for speed."""
+    """Raw RSA decryption: a memo lookup, else the CRT."""
     if not 0 <= c < key.n:
         raise CryptoError("ciphertext integer out of range for this key")
+    m = _PLAINTEXTS.get((key.n, key.e, c))
+    return _crt_decrypt(c, key) if m is None else m
+
+
+def _crt_decrypt(c: int, key: PrivateKey) -> int:
     # CRT: m_p = c^(d mod p-1) mod p, m_q likewise, recombine.
     dp, dq, q_inv = _crt_params(key)
     m_p = pow(c % key.p, dp, key.p)

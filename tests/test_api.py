@@ -8,7 +8,7 @@ from repro.apps.ebanking import (
     ebanking_service_code,
     make_transactions,
 )
-from repro.core import DeploymentBuilder
+from repro.core import DeploymentBuilder, ResultExpiredError
 from repro.core.api import (
     clone_agent,
     collect_result,
@@ -68,6 +68,27 @@ class TestCorePrimitives:
 
         disposed = run_api_call(platform, dispose_agent(platform, handle))
         assert disposed == "disposed"
+
+    def test_disposed_ticket_no_longer_serves_its_result(self, dep, platform):
+        run_api_call(platform, download_code(platform, "ebanking"))
+        handle = run_api_call(
+            platform,
+            dispatch_agent(
+                platform,
+                "ebanking",
+                {"transactions": make_transactions(["bank-a"], 1)},
+                stops=[Stop("bank-a")],
+            ),
+        )
+        gateway = dep.gateway(handle.gateway)
+        dep.sim.run(until=gateway.ticket(handle.ticket).completed)
+        run_api_call(platform, dispose_agent(platform, handle))
+        # Disposal releases the workspace, and the result document with it.
+        assert gateway.file_directory.held(handle.ticket) == 0
+        assert gateway.ticket(handle.ticket).result_frame is None
+        # GET /result/<ticket> answers 410, as for an expired result.
+        with pytest.raises(ResultExpiredError):
+            run_api_call(platform, collect_result(platform, handle))
 
     def test_collect_with_polling(self, dep, platform):
         run_api_call(platform, download_code(platform, "ebanking"))

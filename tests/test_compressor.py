@@ -1,6 +1,7 @@
 """Tests for the compression substrate: codecs, framing, properties."""
 
 import hashlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,21 @@ from repro.compressor import (
     decompress,
     get_codec,
 )
+from repro.compressor import api as compressor_api
+from repro.compressor import lzss
 from repro.compressor.bitio import BitReader, BitWriter
 from repro.compressor.huffman import canonical_codes, code_lengths
 from repro.compressor.lzss import MAX_MATCH, MIN_MATCH, WINDOW_SIZE, LzssCodec, _chains
+
+
+def _decompress_cold(frame: bytes) -> bytes:
+    """``decompress`` through an LZSS codec that encoded nothing.
+
+    The registered codec answers the bodies it encoded from its memo, so a
+    round trip through it never runs the decoder proper; this one does.
+    """
+    with mock.patch.dict(compressor_api._BY_ID, {LzssCodec.codec_id: LzssCodec()}):
+        return decompress(frame)
 
 
 class TestBitIO:
@@ -96,7 +109,7 @@ class TestLzss:
         import os
 
         data = os.urandom(2000)
-        assert decompress(compress(data, "lzss")) == data
+        assert _decompress_cold(compress(data, "lzss")) == data
 
     def test_decode_rejects_bad_distance(self):
         codec = LzssCodec()
@@ -131,6 +144,82 @@ class TestLzss:
         assert codec.decode(body, 9) == b"abcabcabc"
         with pytest.raises(ValueError, match="length overshoot"):
             codec.decode(body, 5)
+
+
+class TestLzssMemo:
+    """A codec decodes the bodies it encoded by lookup, and nothing else."""
+
+    DATA = b"<txn><amount>25.0</amount></txn>" * 20
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        """Calls of the decoder proper, by argument."""
+        calls = []
+
+        def counted(data, original_length):
+            calls.append((bytes(data), original_length))
+            return real(data, original_length)
+
+        real = lzss._decode
+        monkeypatch.setattr(lzss, "_decode", counted)
+        return calls
+
+    def test_hit_returns_equal_bytes_without_decoding(self, decodes):
+        codec = LzssCodec()
+        body = codec.encode(self.DATA)
+        assert codec.decode(body, len(self.DATA)) == self.DATA
+        assert decodes == []
+
+    @pytest.mark.parametrize(
+        "delta, error, match",
+        [(-1, ValueError, "length overshoot"), (1, EOFError, "bit stream exhausted")],
+    )
+    def test_wrong_length_raises_as_without_the_memo(self, decodes, delta, error, match):
+        codec = LzssCodec()
+        body = codec.encode(self.DATA)
+        with pytest.raises(error, match=match):
+            codec.decode(body, len(self.DATA) + delta)
+        with pytest.raises(error, match=match):
+            LzssCodec().decode(body, len(self.DATA) + delta)
+        assert len(decodes) == 2
+
+    def test_body_from_another_instance_is_decoded(self, decodes):
+        body = LzssCodec().encode(self.DATA)
+        assert LzssCodec().decode(body, len(self.DATA)) == self.DATA
+        assert decodes == [(body, len(self.DATA))]
+
+    def test_body_pushed_out_by_the_bound_is_decoded(self, decodes, monkeypatch):
+        monkeypatch.setattr(lzss, "_MEMO_MAX", 2)
+        codec = LzssCodec()
+        inputs = [self.DATA + bytes([k]) for k in range(3)]
+        bodies = [codec.encode(data) for data in inputs]
+        assert codec.decode(bodies[2], len(inputs[2])) == inputs[2]
+        assert decodes == []
+        assert codec.decode(bodies[0], len(inputs[0])) == inputs[0]
+        assert decodes == [(bodies[0], len(inputs[0]))]
+
+    def test_encoding_a_body_again_keeps_it(self, decodes, monkeypatch):
+        monkeypatch.setattr(lzss, "_MEMO_MAX", 2)
+        codec = LzssCodec()
+        first = codec.encode(self.DATA)
+        codec.encode(b"other input " * 8)
+        codec.encode(self.DATA)
+        codec.encode(b"a third input " * 8)  # pushes out "other input"
+        assert codec.decode(first, len(self.DATA)) == self.DATA
+        assert decodes == []
+
+    def test_bytearray_input_is_decoded(self, decodes):
+        codec = LzssCodec()
+        body = codec.encode(self.DATA)
+        assert codec.decode(bytearray(body), len(self.DATA)) == self.DATA
+        assert decodes == [(body, len(self.DATA))]
+
+    def test_mutating_a_bytearray_input_leaves_the_memo_intact(self):
+        codec = LzssCodec()
+        data = bytearray(self.DATA)
+        body = codec.encode(data)
+        data[:5] = b"XXXXX"
+        assert codec.decode(body, len(self.DATA)) == self.DATA
 
 
 def _bitstream_corpus() -> list[bytes]:
@@ -220,7 +309,7 @@ class TestLzssBitstream:
         digest = hashlib.sha256()
         for data in _bitstream_corpus():
             body = codec.encode(data)
-            assert codec.decode(body, len(data)) == data
+            assert LzssCodec().decode(body, len(data)) == data  # no memo
             digest.update(len(body).to_bytes(4, "big") + body)
         assert digest.hexdigest() == self.DIGEST
 
@@ -245,15 +334,15 @@ class TestFraming:
     def test_roundtrip_all_codecs(self):
         data = b"<pi><txn id='1'>100</txn><txn id='2'>100</txn></pi>" * 10
         for name in codec_names():
-            assert decompress(compress(data, name)) == data
+            assert _decompress_cold(compress(data, name)) == data
 
     def test_empty_input(self):
         for name in codec_names():
-            assert decompress(compress(b"", name)) == b""
+            assert _decompress_cold(compress(b"", name)) == b""
 
     def test_single_byte(self):
         for name in codec_names():
-            assert decompress(compress(b"z", name)) == b"z"
+            assert _decompress_cold(compress(b"z", name)) == b"z"
 
     def test_unknown_codec_raises(self):
         with pytest.raises(KeyError):
@@ -337,7 +426,10 @@ class TestRoundtripProperties:
     @given(st.binary(max_size=3000))
     @settings(max_examples=80, deadline=None)
     def test_lzss_roundtrip(self, data):
-        assert decompress(compress(data, "lzss")) == data
+        assert _decompress_cold(compress(data, "lzss")) == data
+        # Most of these frames fall back to the null codec: decode the
+        # LZSS body itself too, with an instance that did not encode it.
+        assert LzssCodec().decode(LzssCodec().encode(data), len(data)) == data
 
     @given(st.binary(max_size=3000))
     @settings(max_examples=80, deadline=None)
@@ -354,4 +446,5 @@ class TestRoundtripProperties:
     @settings(max_examples=60, deadline=None)
     def test_xmlish_text_roundtrip(self, text):
         data = text.encode()
-        assert decompress(compress(data, "lzss")) == data
+        assert _decompress_cold(compress(data, "lzss")) == data
+        assert LzssCodec().decode(LzssCodec().encode(data), len(data)) == data

@@ -5,6 +5,7 @@ import hashlib
 import math
 import random
 import signal
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from repro.crypto import (
     seal,
     validate_dispatch_key,
 )
+from repro.crypto import rsa
 from repro.crypto.rsa import _strong_lucas_probable_prime, _strong_probable_prime
 
 
@@ -38,6 +40,16 @@ KEYPAIR = generate_keypair(512, seed=1234)
 def _rng_bytes():
     rng = random.Random(99)
     return lambda n: bytes(rng.randrange(256) for _ in range(n))
+
+
+def _open_cold(frame, key):
+    """``open_envelope`` with ``encrypt_int``'s plaintext memo emptied.
+
+    ``seal`` records the session-key block it encrypts, so opening its frame
+    right away would never run the CRT decryption; this does.
+    """
+    with mock.patch.dict(rsa._PLAINTEXTS, clear=True):
+        return open_envelope(frame, key)
 
 
 class TestMD5:
@@ -334,6 +346,13 @@ class TestRSA:
         m = 123456789
         assert decrypt_int(encrypt_int(m, KEYPAIR.public), KEYPAIR) == m
 
+    def test_crt_decrypts_a_ciphertext_encrypt_int_never_built(self):
+        # Emptied: an earlier test may have encrypted one of these plaintexts.
+        with mock.patch.dict(rsa._PLAINTEXTS, clear=True):
+            for m in (0, 1, 123456789, KEYPAIR.n - 1, KEYPAIR.n // 3):
+                c = pow(m, KEYPAIR.e, KEYPAIR.n)  # not through encrypt_int
+                assert decrypt_int(c, KEYPAIR) == m
+
     def test_plaintext_out_of_range(self):
         with pytest.raises(CryptoError):
             encrypt_int(KEYPAIR.n, KEYPAIR.public)
@@ -350,15 +369,53 @@ class TestRSA:
         assert KEYPAIR.public.fingerprint() != other.public.fingerprint()
 
 
+class TestPlaintextMemo:
+    """``decrypt_int`` answers the blocks ``encrypt_int`` built by lookup."""
+
+    @pytest.fixture
+    def crt(self, monkeypatch):
+        """Ciphertexts that reached the CRT decryption."""
+        calls = []
+
+        def counted(c, key):
+            calls.append(c)
+            return real(c, key)
+
+        real = rsa._crt_decrypt
+        monkeypatch.setattr(rsa, "_crt_decrypt", counted)
+        return calls
+
+    def test_hit_returns_the_plaintext_without_the_crt(self, crt):
+        m = 987654321
+        assert decrypt_int(encrypt_int(m, KEYPAIR.public), KEYPAIR) == m
+        assert crt == []
+
+    def test_block_pushed_out_by_the_bound_is_decrypted(self, crt, monkeypatch):
+        monkeypatch.setattr(rsa, "_PLAINTEXTS", {})
+        monkeypatch.setattr(rsa, "_PLAINTEXTS_MAX", 2)
+        blocks = [encrypt_int(m, KEYPAIR.public) for m in (11, 12, 13)]
+        assert decrypt_int(blocks[2], KEYPAIR) == 13
+        assert crt == []
+        assert decrypt_int(blocks[0], KEYPAIR) == 11
+        assert crt == [blocks[0]]
+
+    def test_lookup_is_per_key(self, crt):
+        other = generate_keypair(512, seed=777)
+        c = encrypt_int(424242, KEYPAIR.public)
+        assert c < other.n
+        assert decrypt_int(c, other) == pow(c, other.d, other.n)
+        assert crt == [c]
+
+
 class TestEnvelope:
     def test_roundtrip(self):
         rng = _rng_bytes()
         pt = b"<pi>the user's transactions</pi>" * 20
-        assert open_envelope(seal(pt, KEYPAIR.public, rng), KEYPAIR) == pt
+        assert _open_cold(seal(pt, KEYPAIR.public, rng), KEYPAIR) == pt
 
     def test_empty_plaintext(self):
         rng = _rng_bytes()
-        assert open_envelope(seal(b"", KEYPAIR.public, rng), KEYPAIR) == b""
+        assert _open_cold(seal(b"", KEYPAIR.public, rng), KEYPAIR) == b""
 
     def test_tampered_ciphertext_fails_integrity(self):
         rng = _rng_bytes()
@@ -388,6 +445,8 @@ class TestEnvelope:
         rng = _rng_bytes()
         other = generate_keypair(512, seed=777)
         frame = seal(b"secret" * 30, KEYPAIR.public, rng)
+        block = int.from_bytes(frame[6 : 6 + KEYPAIR.public.byte_size], "big")
+        assert (KEYPAIR.n, KEYPAIR.e, block) in rsa._PLAINTEXTS  # memo holds it
         with pytest.raises(CryptoError):
             open_envelope(frame, other)
 
@@ -405,7 +464,7 @@ class TestEnvelope:
     @settings(max_examples=40, deadline=None)
     def test_roundtrip_property(self, pt):
         rng = _rng_bytes()
-        assert open_envelope(seal(pt, KEYPAIR.public, rng), KEYPAIR) == pt
+        assert _open_cold(seal(pt, KEYPAIR.public, rng), KEYPAIR) == pt
 
 
 class TestKeyRegistries:

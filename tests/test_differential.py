@@ -4,7 +4,8 @@ The pure-python MD5 is checked bit-for-bit against :mod:`hashlib` over
 randomized corpora (including every padding-boundary length), and the LZSS
 codec is checked by the ``decompress(compress(x)) == x`` oracle with the
 frame memo both enabled and disabled — a memo bug would otherwise hide
-behind cache hits.
+behind cache hits.  Decoding goes through an LZSS codec that encoded
+nothing, so the codec's own body memo cannot answer for the decoder.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ import pytest
 
 from repro.compressor import api as compressor_api
 from repro.compressor import compress, decompress
+from repro.compressor.lzss import LzssCodec
 from repro.crypto.md5 import MD5, md5, md5_hex
 
 
@@ -72,8 +74,12 @@ class TestMD5Differential:
 class TestLzssDifferential:
     @pytest.fixture(params=["memo-on", "memo-off"])
     def memo(self, request, monkeypatch):
-        """Run each roundtrip with the frame memo enabled and disabled."""
+        """Run each roundtrip with the frame memo enabled and disabled.
+
+        ``decompress`` decodes LZSS with a fresh codec either way.
+        """
         monkeypatch.setattr(compressor_api, "_FRAME_CACHE", {})
+        monkeypatch.setitem(compressor_api._BY_ID, LzssCodec.codec_id, LzssCodec())
         if request.param == "memo-off":
             monkeypatch.setattr(compressor_api, "_FRAME_CACHE_MAX", 0)
         return request.param

@@ -16,7 +16,10 @@ from pathlib import Path
 
 import networkx as nx
 
+from repro.compressor import lzss
+from repro.compressor.lzss import LzssCodec
 from repro.core import DeploymentBuilder
+from repro.crypto import envelope, rsa
 from repro.experiments.scale import _maxrss_bytes, run_population
 from repro.experiments.scenario import build_scenario, run_pdagent_batch
 from repro.simnet import Network
@@ -78,6 +81,31 @@ class TestLeafRouting:
         result = run_population(POP, seed=0)
         assert result.tasks_completed == POP
         assert searches == []
+
+
+class TestDecodeByLookup:
+    def test_population_run_decodes_and_decrypts_only_by_lookup(self, monkeypatch):
+        """A run opens only frames it built itself: the LZSS codec's body
+        memo answers every decode and ``encrypt_int``'s plaintext memo
+        every decryption, so the decoder proper and the CRT never run."""
+        calls = {"decode": 0, "decoder": 0, "decrypt": 0, "crt": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(LzssCodec, "decode", counted("decode", LzssCodec.decode))
+        monkeypatch.setattr(lzss, "_decode", counted("decoder", lzss._decode))
+        monkeypatch.setattr(
+            envelope, "decrypt_int", counted("decrypt", envelope.decrypt_int)
+        )
+        monkeypatch.setattr(rsa, "_crt_decrypt", counted("crt", rsa._crt_decrypt))
+        assert run_population(50, seed=0).tasks_completed == 50
+        assert calls["decode"] > 0 and calls["decrypt"] > 0
+        assert (calls["decoder"], calls["crt"]) == (0, 0)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
