@@ -1,8 +1,8 @@
 """Micro-benchmarks (M1) — substrate throughput.
 
 These catch performance regressions in the hot paths every experiment runs
-through: the event kernel, agent migration, the agent wire form, XML
-encode/parse, and MD5.
+through: the event kernel, an HTTP round trip over the transport, agent
+migration, the agent wire form, XML encode/parse, and MD5.
 """
 
 from repro.apps.ebanking import EBankingAgent, make_transactions
@@ -16,7 +16,7 @@ from repro.mas import (
     deserialize_agent,
     serialize_agent,
 )
-from repro.simnet import LinkSpec, Network, Simulator
+from repro.simnet import HttpResponse, HttpServer, LinkSpec, Network, Simulator, request
 from repro.telemetry.spans import SpanContext
 from repro.xmlcodec import Element, parse, write
 
@@ -54,6 +54,43 @@ def test_kernel_process_chain(benchmark):
         return prev.value
 
     assert benchmark(run) is True
+
+
+def test_http_round_trip_throughput(benchmark):
+    """1k ``request()`` round trips over a two-hop path: a lossy GPRS-like
+    hop with exponential jitter, then a lossless LAN-like hop with normal
+    jitter (connect, request, response and close each sample both hops)."""
+
+    def run():
+        net = Network(master_seed=0)
+        for name in ("client", "router", "server"):
+            net.add_node(name)
+        net.add_duplex_link(
+            "client",
+            "router",
+            LinkSpec(latency=0.3, bandwidth=4_000, jitter=0.12, loss=0.02, rto=1.5),
+        )
+        net.add_duplex_link(
+            "router",
+            "server",
+            LinkSpec(latency=0.002, bandwidth=1_250_000, jitter=0.0005, jitter_model="normal"),
+        )
+        server = HttpServer(net.node("server"))
+        server.route("/ping", lambda req: HttpResponse(200, body=b"pong", body_size=4))
+
+        def client():
+            ok = 0
+            for _ in range(1_000):
+                resp = yield from request(net, "client", "server", "GET", "/ping")
+                ok += resp.ok
+            return ok
+
+        ok = net.sim.run(until=net.sim.process(client()))
+        return ok, net.link("client", "router").retransmissions
+
+    ok, retransmissions = benchmark(run)
+    assert ok == 1_000
+    assert retransmissions > 0  # the loss path ran
 
 
 class _Hopper(MobileAgent):

@@ -14,8 +14,8 @@ Java Servlets).  This module provides:
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
+from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from .node import Node
@@ -143,6 +143,7 @@ class HttpServer:
         self.service_time = service_time
         self._exact: dict[str, Handler] = {}
         self._prefix: dict[str, Handler] = {}
+        self._requests_metric = f"http_requests:{node.address}"
         node.listen(port, self._accept)
 
     def route(self, path: str, handler: Handler) -> None:
@@ -188,7 +189,7 @@ class HttpServer:
             if not isinstance(req, HttpRequest):
                 resp = HttpResponse(400, reason="malformed request")
             else:
-                self.network.telemetry.metrics.counter(f"http_requests:{self.node.address}").inc()
+                self.network.telemetry.metrics.counter(self._requests_metric).inc()
                 if self.service_time > 0:
                     yield self.node.compute(self.service_time)
                 handler = self._resolve(req.path)
@@ -197,7 +198,7 @@ class HttpServer:
                 else:
                     try:
                         result = handler(req)
-                        if inspect.isgenerator(result):
+                        if isinstance(result, GeneratorType):
                             result = yield from result
                         resp = result
                     except Exception as exc:  # handler bug → 500, not sim crash
@@ -229,14 +230,7 @@ def request(
     Opens a fresh connection (HTTP/1.0), so the initiator's ledger record
     covers handshake + request upload + server processing + response download.
     """
-    req = HttpRequest(
-        method=method,
-        path=path,
-        body=body,
-        body_size=body_size,
-        client=client,
-        headers=headers or {},
-    )
+    req = HttpRequest(method, path, body, body_size, headers or {}, client)
     sock = yield from connect(
         network, client, server, port, purpose=purpose or f"{method} {path}"
     )

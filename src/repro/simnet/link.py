@@ -17,7 +17,6 @@ connection is opened and retransmission penalties when a loss is sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from .rng import Stream
 
@@ -89,10 +88,6 @@ class LinkSpec:
         # normal, truncated at zero
         return max(0.0, stream.normal(self.latency, self.jitter))
 
-    def sample_loss(self, stream: Stream) -> bool:
-        """True if this transfer attempt is lost."""
-        return stream.bernoulli(self.loss)
-
     def transfer_time(self, size: int, stream: Stream) -> float:
         """Delay for a single successful transfer attempt of ``size`` bytes."""
         if size < 0:
@@ -112,33 +107,21 @@ class LinkSpec:
 
 @dataclass
 class Link:
-    """A directed link instance between two nodes in a topology."""
+    """A directed link instance between two nodes in a topology.
+
+    ``stream`` is the RNG stream of the link's loss and jitter draws.
+    """
 
     src: str
     dst: str
     spec: LinkSpec
+    stream: Stream = field(repr=False)
     up: bool = True
-    # Cumulative accounting, filled by the transport layer.
+    # Cumulative accounting, filled by Network.sample_path_delay.
     bytes_carried: int = 0
     transfers: int = 0
     retransmissions: int = 0
-    _stream: Optional[Stream] = field(default=None, repr=False)
 
     @property
     def key(self) -> tuple[str, str]:
         return (self.src, self.dst)
-
-    def attach_stream(self, stream: Stream) -> None:
-        """Bind the RNG stream used for this link's jitter/loss draws."""
-        self._stream = stream
-
-    @property
-    def stream(self) -> Stream:
-        if self._stream is None:
-            raise RuntimeError(f"link {self.key} has no RNG stream attached")
-        return self._stream
-
-    def record_transfer(self, size: int, retries: int) -> None:
-        self.bytes_carried += size
-        self.transfers += 1
-        self.retransmissions += retries

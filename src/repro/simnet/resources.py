@@ -12,9 +12,10 @@ These are the coordination primitives protocol code is written against:
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
 
-from .primitives import Event
+from .primitives import PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Simulator
@@ -28,8 +29,15 @@ class StorePut(Event):
     __slots__ = ("item",)
 
     def __init__(self, sim: "Simulator", item: Any) -> None:
-        super().__init__(sim)
+        # Born triggered and scheduled now.  The fields are set here rather
+        # than through Event.__init__ because every message builds one.
+        self.sim = sim
         self.item = item
+        self._ok = True
+        self._value = None
+        self._callbacks = []
+        sim._seq += 1
+        heappush(sim._queue, (sim._now, 1, sim._seq, self))
 
 
 class StoreGet(Event):
@@ -42,8 +50,11 @@ class StoreGet(Event):
         sim: "Simulator",
         predicate: Optional[Callable[[Any], bool]] = None,
     ) -> None:
-        super().__init__(sim)
+        self.sim = sim
         self.predicate = predicate
+        self._ok = True
+        self._value = PENDING
+        self._callbacks = []
 
 
 class Store:
@@ -67,15 +78,15 @@ class Store:
         """Buffer ``item``; the returned event is already triggered."""
         event = StorePut(self.sim, item)
         self.items.append(item)
-        event.succeed()
         # No waiting getter matched the buffer before this put, so only
         # ``item`` can wake one: the first, in arrival order, that takes it.
-        for idx, get in enumerate(self._getters or ()):
-            matched = self._match(get)
-            if matched is not _NO_MATCH:
-                del self._getters[idx]
-                get.succeed(matched)
-                break
+        if self._getters:
+            for idx, get in enumerate(self._getters):
+                matched = self._match(get)
+                if matched is not _NO_MATCH:
+                    del self._getters[idx]
+                    get.succeed(matched)
+                    break
         return event
 
     def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> StoreGet:
@@ -86,7 +97,7 @@ class Store:
         item none of them wants, and arrival order is kept.
         """
         event = StoreGet(self.sim, predicate)
-        matched = self._match(event)
+        matched = self._match(event) if self.items else _NO_MATCH
         if matched is _NO_MATCH:
             if self._getters is None:
                 self._getters = deque()
@@ -96,8 +107,7 @@ class Store:
         return event
 
     def _match(self, get: StoreGet) -> Any:
-        if not self.items:
-            return _NO_MATCH
+        """Take ``get``'s item from the (non-empty) buffer, or _NO_MATCH."""
         if get.predicate is None:
             return self.items.popleft()
         for i, item in enumerate(self.items):

@@ -34,7 +34,8 @@ class Stream:
     The numpy generator is built on the first draw.  Its seed is fixed by
     ``(master_seed, name)`` alone, so when it is built cannot move a draw,
     and a stream nothing draws from (a device's ``retry`` stream in a
-    fault-free run) costs no generator.
+    fault-free run) costs no generator.  Every draw reads ``_gen`` directly
+    and calls :meth:`_build` only while it is still None.
     """
 
     __slots__ = ("name", "seed", "_gen")
@@ -44,33 +45,31 @@ class Stream:
         self.seed = seed
         self._gen: np.random.Generator | None = None
 
-    @property
-    def _rng(self) -> np.random.Generator:
-        if self._gen is None:
-            self._gen = np.random.default_rng(self.seed)
+    def _build(self) -> np.random.Generator:
+        self._gen = np.random.default_rng(self.seed)
         return self._gen
 
     # Distributions used across the simulator.  All return Python floats so
     # downstream arithmetic stays in plain-Python time units.
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        return float(self._rng.uniform(low, high))
+        return float((self._gen or self._build()).uniform(low, high))
 
     def exponential(self, mean: float) -> float:
         if mean < 0:
             raise ValueError("mean must be >= 0")
         if mean == 0:
             return 0.0
-        return float(self._rng.exponential(mean))
+        return float((self._gen or self._build()).exponential(mean))
 
     def normal(self, mean: float, std: float) -> float:
-        return float(self._rng.normal(mean, std))
+        return float((self._gen or self._build()).normal(mean, std))
 
     def lognormal(self, mean: float, sigma: float) -> float:
-        return float(self._rng.lognormal(mean, sigma))
+        return float((self._gen or self._build()).lognormal(mean, sigma))
 
     def pareto(self, shape: float, scale: float = 1.0) -> float:
         """Pareto(shape) scaled so the minimum value is ``scale``."""
-        return float(scale * (1.0 + self._rng.pareto(shape)))
+        return float(scale * (1.0 + (self._gen or self._build()).pareto(shape)))
 
     def bernoulli(self, p: float) -> bool:
         if not 0.0 <= p <= 1.0:
@@ -79,22 +78,22 @@ class Stream:
             return False
         if p == 1.0:
             return True
-        return bool(self._rng.random() < p)
+        return bool((self._gen or self._build()).random() < p)
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in the inclusive range [low, high]."""
-        return int(self._rng.integers(low, high + 1))
+        return int((self._gen or self._build()).integers(low, high + 1))
 
     def choice(self, seq: list) -> object:
         if not seq:
             raise ValueError("cannot choose from an empty sequence")
-        return seq[int(self._rng.integers(0, len(seq)))]
+        return seq[int((self._gen or self._build()).integers(0, len(seq)))]
 
     def shuffle(self, seq: list) -> None:
-        self._rng.shuffle(seq)
+        (self._gen or self._build()).shuffle(seq)
 
     def bytes(self, n: int) -> bytes:
-        return self._rng.bytes(n)
+        return (self._gen or self._build()).bytes(n)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Stream {self.name!r} seed={self.seed}>"

@@ -76,17 +76,15 @@ class Network:
         self._succ: dict[str, dict[str, float]] = {}
         self._pred: dict[str, dict[str, float]] = {}
         self._routes: dict[tuple[str, str], list[str]] = {}
-        # Derived caches (link objects along a path, bottleneck bandwidth,
-        # the networkx graph a search runs on); invalidated together with
-        # _routes on topology change.
-        self._route_links: dict[tuple[str, str], list[Link]] = {}
-        self._bottlenecks: dict[tuple[str, str], float] = {}
+        # Derived caches (the links along a path with their bottleneck
+        # bandwidth, the networkx graph a search runs on); invalidated
+        # together with _routes on topology change.
+        self._paths: dict[tuple[str, str], tuple[list[Link], float]] = {}
         self._search_graph: Optional[nx.DiGraph] = None
 
     def _invalidate_routes(self) -> None:
         self._routes.clear()
-        self._route_links.clear()
-        self._bottlenecks.clear()
+        self._paths.clear()
         self._search_graph = None
 
     # -- topology construction -------------------------------------------------
@@ -124,8 +122,7 @@ class Network:
             raise ValueError("self-links are not allowed")
         if (src, dst) in self._links:
             raise ValueError(f"duplicate link {src}->{dst}")
-        link = Link(src, dst, spec)
-        link.attach_stream(self.streams.get(f"link:{src}->{dst}"))
+        link = Link(src, dst, spec, self.streams.get(f"link:{src}->{dst}"))
         self._links[(src, dst)] = link
         self._succ[src][dst] = self._pred[dst][src] = spec.latency
         self._invalidate_routes()
@@ -269,27 +266,23 @@ class Network:
         except nx.NetworkXNoPath:
             return None
 
+    def _path(self, src: str, dst: str) -> tuple[list[Link], float]:
+        """The links along the current route and their minimum bandwidth."""
+        path = self._paths.get((src, dst))
+        if path is None:
+            nodes = self.route(src, dst)
+            links = [self._links[(a, b)] for a, b in zip(nodes, nodes[1:])]
+            bottleneck = min(l.spec.bandwidth for l in links) if links else float("inf")
+            path = self._paths[(src, dst)] = (links, bottleneck)
+        return path
+
     def path_links(self, src: str, dst: str) -> list[Link]:
         """Links along the current route from ``src`` to ``dst``."""
-        key = (src, dst)
-        links = self._route_links.get(key)
-        if links is None:
-            path = self.route(src, dst)
-            links = [self._links[(a, b)] for a, b in zip(path, path[1:])]
-            self._route_links[key] = links
-        return links
+        return self._path(src, dst)[0]
 
     def bottleneck_bandwidth(self, src: str, dst: str) -> float:
         """Minimum bandwidth along the route (fluid model)."""
-        key = (src, dst)
-        bottleneck = self._bottlenecks.get(key)
-        if bottleneck is None:
-            links = self.path_links(src, dst)
-            bottleneck = (
-                min(l.spec.bandwidth for l in links) if links else float("inf")
-            )
-            self._bottlenecks[key] = bottleneck
-        return bottleneck
+        return self._path(src, dst)[1]
 
     def base_rtt(self, src: str, dst: str) -> float:
         """Deterministic (jitter-free) round-trip latency between two nodes."""
@@ -304,25 +297,32 @@ class Network:
         Each link samples its own jitter; a sampled loss on any link costs
         that link's RTO and restarts the attempt (bounded retries are the
         transport's job — here we model until success, counting retries).
+        A link's stream draws loss until a success, then one jitter sample,
+        link by link; a lossless link makes no loss draw, as
+        ``bernoulli(0.0)`` would draw nothing.
         """
-        links = self.path_links(src, dst)
+        links, bottleneck = self._path(src, dst)
         if not links:
             return 0.0, 0
         delay = 0.0
         retries = 0
-        bottleneck = self.bottleneck_bandwidth(src, dst)
         for link in links:
+            spec = link.spec
+            stream = link.stream
             link_retries = 0
-            while link.spec.sample_loss(link.stream):
-                link_retries += 1
-                delay += link.spec.rto
-                if retries + link_retries > 64:  # pathological spec; avoid unbounded loop
-                    raise RuntimeError(
-                        f"link {link.key} lost 64 consecutive transfers"
-                    )
-            retries += link_retries
-            delay += link.spec.sample_latency(link.stream)
-            link.record_transfer(size, link_retries)
+            if spec.loss:
+                while stream.bernoulli(spec.loss):
+                    link_retries += 1
+                    delay += spec.rto
+                    if retries + link_retries > 64:  # pathological spec; avoid unbounded loop
+                        raise RuntimeError(
+                            f"link {link.key} lost 64 consecutive transfers"
+                        )
+                link.retransmissions += link_retries
+                retries += link_retries
+            delay += spec.sample_latency(stream)
+            link.bytes_carried += size
+            link.transfers += 1
         delay += size / bottleneck
         return delay, retries
 

@@ -113,11 +113,7 @@ class Tracer:
     def open_connection(self, initiator: str, peer: str, purpose: str = "") -> ConnectionRecord:
         """Register a newly opened connection and return its ledger record."""
         record = ConnectionRecord(
-            conn_id=self._next_conn_id,
-            initiator=initiator,
-            peer=peer,
-            opened_at=self.sim.now,
-            purpose=purpose,
+            self._next_conn_id, initiator, peer, self.sim.now, purpose=purpose
         )
         self._next_conn_id += 1
         self.connections.append(record)

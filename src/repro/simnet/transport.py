@@ -169,7 +169,7 @@ class Connection:
         yield sim.timeout(delay)
         if not self._open:
             raise ConnectionClosed("connection closed during transfer")
-        message = Message(payload=payload, size=size, sent_at=sim.now)
+        message = Message(payload, size, sim.now)
         peer = self._socket_of(dst)
         peer._inbox.put(message)
         # Ledger: attribute direction relative to the initiator.

@@ -13,7 +13,9 @@ The swarm seeds cover the gateway tier end to end:
 * 167: a migrate batch that is never acked;
 * 188: hinted handoff, reconciliation and a claim error.
 
-The fig12 cell pins a single-gateway GPRS deployment.  A digest that
+The fig12 cell pins a single-gateway GPRS deployment; the two baseline
+cells pin the same deployment driven over plain HTTP by the client-server
+runner (the PDA) and the web-based runner (the LAN desktop).  A digest that
 differs on another interpreter version is a determinism finding, not a
 reason to re-pin.
 """
@@ -54,15 +56,36 @@ FIG12_CELL_GOLDEN = (
     "1ec10cf2bf906934f25d5b75a42513b141f46a759923000130000470d501954c",
 )
 
+#: approach -> (events_processed, sha256 of the cell's JSONL)
+BASELINE_CELL_GOLDEN = {
+    "client-server": (
+        147,
+        "45bbeb4596f290875906125f4119cc3ff3fc8c238466fbbdeff4c6d6ba2e1c2b",
+    ),
+    "web-based": (
+        402,
+        "ae91dc87f57937ed03aef6accba6e247cfe67c41b5db4c604878f56158552fdb",
+    ),
+}
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def cell_jsonl(config=None) -> tuple[int, str]:
-    """One fig12 PDAgent cell: seed 3, a 4-transaction batch."""
+def cell_jsonl(config=None, approach="pdagent") -> tuple[int, str]:
+    """One fig12 cell: seed 3, a 4-transaction batch."""
     scenario = build_scenario(seed=3, config=config)
-    run_pdagent_batch(scenario, 4)
+    if approach == "pdagent":
+        run_pdagent_batch(scenario, 4)
+    else:
+        runner = (
+            scenario.client_server_runner()
+            if approach == "client-server"
+            else scenario.web_based_runner()
+        )
+        sim = scenario.sim
+        sim.run(until=sim.process(runner.run(scenario.transactions(4))))
     collector = TraceCollector()
     collector.add_run("fig12", scenario.network)
     buf = io.StringIO()
@@ -80,6 +103,12 @@ def test_swarm_seed_matches_golden(seed):
 def test_fig12_cell_matches_golden():
     events, jsonl = cell_jsonl()
     assert (events, sha256(jsonl)) == FIG12_CELL_GOLDEN
+
+
+@pytest.mark.parametrize("approach", sorted(BASELINE_CELL_GOLDEN))
+def test_baseline_cell_matches_golden(approach):
+    events, jsonl = cell_jsonl(approach=approach)
+    assert (events, sha256(jsonl)) == BASELINE_CELL_GOLDEN[approach]
 
 
 def test_single_gateway_identical_with_fleet_enabled():

@@ -168,6 +168,65 @@ class TestProcesses:
         with pytest.raises(TypeError):
             sim.run(until=proc)
 
+    def test_non_event_yield_fails_the_process_for_its_waiters(self, sim):
+        """The TypeError thrown back for a non-event fails the process when
+        the generator does not catch it, so a process waiting on it wakes
+        with the error instead of hanging, and run() itself does not raise."""
+
+        def body():
+            yield 42
+
+        proc = sim.process(body())
+
+        def waiter():
+            try:
+                yield proc
+            except TypeError as exc:
+                return str(exc)
+
+        w = sim.process(waiter())
+        assert sim.run(until=w) == "process yielded non-event 42"
+        assert not proc.is_alive and not proc.ok
+
+    def test_non_event_yield_caught_by_the_generator_continues(self, sim):
+        """A generator that catches the TypeError and yields an event waits
+        on that event; one that then returns succeeds with its value."""
+
+        def body():
+            try:
+                yield "not an event"
+            except TypeError:
+                yield sim.timeout(2.0)
+            try:
+                yield None
+            except TypeError:
+                return "recovered"
+
+        proc = sim.process(body())
+        assert sim.run(until=proc) == "recovered"
+        assert sim.now == 2.0
+
+    def test_foreign_event_yield_fails_the_process_for_its_waiters(self, sim):
+        """An event of another simulator is refused the same way: the
+        RuntimeError is thrown in and, uncaught, fails the process."""
+        other = Simulator()
+
+        def body():
+            yield other.timeout(1.0)
+
+        proc = sim.process(body())
+
+        def waiter():
+            try:
+                yield proc
+            except RuntimeError as exc:
+                return str(exc)
+
+        w = sim.process(waiter())
+        assert sim.run(until=w) == "event belongs to a different simulator"
+        assert not proc.is_alive and not proc.ok
+        assert other.peek() == 1.0  # the foreign timeout is left alone
+
     def test_same_time_events_fifo_order(self, sim):
         order = []
 

@@ -5,6 +5,7 @@ import signal
 from contextlib import contextmanager
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from repro.core import DeploymentBuilder
 from repro.device import link_profile
 from repro.simnet import LinkSpec, Network, Node, NoRouteError
+from repro.simnet.rng import _derive_seed
 
 
 def spec(latency=0.01, bandwidth=1e6, **kw):
@@ -229,6 +231,51 @@ class TestDatagramsAndPing:
         link = net.link("a", "b")
         assert link.bytes_carried == 500
         assert link.transfers == 1
+
+
+class TestPathDelayDrawOrder:
+    def test_draws_replay_link_by_link(self):
+        """Each link's stream draws loss until a success, then one jitter
+        sample, link by link: every (delay, retries) equals a replay from
+        generators built straight from the derived seeds.  A lossless link
+        draws no loss, and a lossless link without jitter draws nothing, so
+        its stream never builds a generator."""
+        master = 21
+        net = Network(master_seed=master)
+        for name in ("a", "b", "c", "d"):
+            net.add_node(name)
+        lossy = net.add_link(
+            "a", "b", spec(latency=0.3, bandwidth=4000, jitter=0.12, loss=0.4, rto=1.5)
+        )
+        normal = net.add_link(
+            "b", "c", spec(latency=0.002, bandwidth=1.25e6, jitter=0.0005, jitter_model="normal")
+        )
+        quiet = net.add_link("c", "d", spec(latency=0.05, bandwidth=1e5))
+        lossy_rng, normal_rng = (
+            np.random.default_rng(_derive_seed(master, f"link:{link.src}->{link.dst}"))
+            for link in (lossy, normal)
+        )
+        sizes = range(0, 4000, 97)
+        total_retries = 0
+        for size in sizes:
+            expected, expected_retries = 0.0, 0
+            while lossy_rng.random() < 0.4:
+                expected_retries += 1
+                expected += 1.5
+            expected += 0.3 + lossy_rng.exponential(0.12)
+            expected += max(0.0, normal_rng.normal(0.002, 0.0005))
+            expected += 0.05
+            expected += size / 4000
+            assert net.sample_path_delay("a", "d", size) == (expected, expected_retries)
+            total_retries += expected_retries
+        assert total_retries > 0
+        assert quiet.stream._gen is None
+        assert [(l.transfers, l.retransmissions) for l in (lossy, normal, quiet)] == [
+            (len(sizes), total_retries),
+            (len(sizes), 0),
+            (len(sizes), 0),
+        ]
+        assert {l.bytes_carried for l in (lossy, normal, quiet)} == {sum(sizes)}
 
 
 def assert_routes_match_networkx(net):
