@@ -15,9 +15,11 @@ The swarm seeds cover the gateway tier end to end:
 
 The fig12 cell pins a single-gateway GPRS deployment; the two baseline
 cells pin the same deployment driven over plain HTTP by the client-server
-runner (the PDA) and the web-based runner (the LAN desktop).  A digest that
-differs on another interpreter version is a determinism finding, not a
-reason to re-pin.
+runner (the PDA) and the web-based runner (the LAN desktop).  The E4 and
+A1 rows (client-agent-server against PDAgent, and the four gateway
+selection policies) are pinned value for value at their default seeds.  A
+digest that differs on another interpreter version is a determinism
+finding, not a reason to re-pin.
 """
 
 import hashlib
@@ -26,6 +28,8 @@ import io
 import pytest
 
 from repro.core import PDAgentConfig
+from repro.experiments.ablations import run_selection_ablation
+from repro.experiments.extensions import run_cas_comparison
 from repro.experiments.scenario import build_scenario, run_pdagent_batch
 from repro.simtest import generate, run_spec
 from repro.telemetry.exporters import TraceCollector
@@ -67,6 +71,21 @@ BASELINE_CELL_GOLDEN = {
         "ae91dc87f57937ed03aef6accba6e247cfe67c41b5db4c604878f56158552fdb",
     ),
 }
+
+#: run_cas_comparison(): (n, PDAgent connection time, CAS connection time)
+CAS_ROWS_GOLDEN = [
+    (1, 7.512026388198798, 7.4531715053862975),
+    (4, 7.5504541225738, 7.942921505386302),
+    (8, 7.597919942886296, 8.5959215053863),
+]
+
+#: run_selection_ablation(): (policy, completion time, gateway, probes sent)
+SELECTION_ROWS_GOLDEN = [
+    ("nearest", 11.40971946361354, "gw-3", 8),
+    ("first", 16.71018728677302, "gw-0", 0),
+    ("random", 10.699622218050708, "gw-3", 0),
+    ("round_robin", 16.71018728677302, "gw-0", 0),
+]
 
 
 def sha256(text: str) -> str:
@@ -114,3 +133,19 @@ def test_baseline_cell_matches_golden(approach):
 def test_single_gateway_identical_with_fleet_enabled():
     """A lone gateway is a fleet of one whether or not the fleet is shared."""
     assert cell_jsonl(PDAgentConfig(fleet_enabled=True)) == cell_jsonl()
+
+
+def test_cas_comparison_rows_match_golden():
+    rows = [
+        (r.n_transactions, r.pdagent_conn_time, r.cas_conn_time)
+        for r in run_cas_comparison()
+    ]
+    assert rows == CAS_ROWS_GOLDEN
+
+
+def test_selection_ablation_rows_match_golden():
+    rows = [
+        (r.policy, r.completion_time, r.chosen_gateway, r.probes_sent)
+        for r in run_selection_ablation()
+    ]
+    assert rows == SELECTION_ROWS_GOLDEN
