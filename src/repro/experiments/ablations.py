@@ -12,7 +12,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..core import PDAgentConfig
 from .report import format_table
@@ -56,14 +56,12 @@ def run_selection_ablation(seed: int = 7, n_gateways: int = 4) -> list[Selection
         # (the device cannot know that list order equals distance).  The
         # latency spread (0.25 s per rank) dominates wireless jitter so one
         # probe per gateway reliably ranks them, as the paper assumes.
-        from dataclasses import replace
-
         net = scenario.network
         for i in range(n_gateways):
             rank = n_gateways - i  # gw-0 gets the largest latency
             for src, dst in ((f"gw-{i}", "backbone"), ("backbone", f"gw-{i}")):
-                link = net.link(src, dst)
-                link.spec = replace(link.spec, latency=0.25 * rank, jitter=0.002)
+                spec = replace(net.link(src, dst).spec, latency=0.25 * rank, jitter=0.002)
+                net.update_link_spec(src, dst, spec)
         platform = scenario.platform
         platform.selector._probes.clear()  # re-probe under the new latencies
         metrics = run_pdagent_batch(scenario, _N_TXNS, gateway=None)

@@ -70,12 +70,12 @@ class TestSelector:
         net = dep.network
         # gw-1 gets a much faster uplink
         for src, dst in (("gw-1", "backbone"), ("backbone", "gw-1")):
-            link = net.link(src, dst)
-            link.spec = replace(link.spec, latency=0.0001, jitter=0.0)
+            spec = net.link(src, dst).spec
+            net.update_link_spec(src, dst, replace(spec, latency=0.0001, jitter=0.0))
         for i in (0, 2):
             for src, dst in ((f"gw-{i}", "backbone"), ("backbone", f"gw-{i}")):
-                link = net.link(src, dst)
-                link.spec = replace(link.spec, latency=0.5, jitter=0.0)
+                spec = net.link(src, dst).spec
+                net.update_link_spec(src, dst, replace(spec, latency=0.5, jitter=0.0))
         selector = dep.platform("pda").selector
         proc = dep.sim.process(selector.select())
         assert dep.sim.run(until=proc) == "gw-1"
@@ -107,8 +107,8 @@ class TestSelector:
         # every gateway farther than the threshold
         for i in range(3):
             for src, dst in ((f"gw-{i}", "backbone"), ("backbone", f"gw-{i}")):
-                link = net.link(src, dst)
-                link.spec = replace(link.spec, latency=1.0, jitter=0.0)
+                spec = net.link(src, dst).spec
+                net.update_link_spec(src, dst, replace(spec, latency=1.0, jitter=0.0))
         selector = dep.platform("pda").selector
         proc = dep.sim.process(selector.select())
         chosen = dep.sim.run(until=proc)
@@ -201,12 +201,12 @@ class TestReprobeRegressions:
         dep = build(policy="nearest", breaker_cooldown_s=1e9)
         net = dep.network
         for src, dst in (("gw-0", "backbone"), ("backbone", "gw-0")):
-            link = net.link(src, dst)
-            link.spec = replace(link.spec, latency=0.0001, jitter=0.0)
+            spec = net.link(src, dst).spec
+            net.update_link_spec(src, dst, replace(spec, latency=0.0001, jitter=0.0))
         for i in (1, 2):
             for src, dst in ((f"gw-{i}", "backbone"), ("backbone", f"gw-{i}")):
-                link = net.link(src, dst)
-                link.spec = replace(link.spec, latency=0.2, jitter=0.0)
+                spec = net.link(src, dst).spec
+                net.update_link_spec(src, dst, replace(spec, latency=0.2, jitter=0.0))
         platform = dep.platform("pda")
         platform.breaker.threshold = 1
         proc = dep.sim.process(platform.selector.refresh_list())
@@ -275,8 +275,8 @@ class TestPreferredGateway:
         net = dep.network
         # gw-0 is by far the nearest; a plain select() would pick it.
         for src, dst in (("gw-0", "backbone"), ("backbone", "gw-0")):
-            link = net.link(src, dst)
-            link.spec = replace(link.spec, latency=0.0001, jitter=0.0)
+            spec = net.link(src, dst).spec
+            net.update_link_spec(src, dst, replace(spec, latency=0.0001, jitter=0.0))
         selector = dep.platform("pda").selector
         proc = dep.sim.process(selector.select(prefer="gw-1"))
         assert dep.sim.run(until=proc) == "gw-1"
@@ -344,8 +344,8 @@ class TestMembershipHealth:
         net = dep.network
         # gw-0 is by far the nearest, but it is draining.
         for src, dst in (("gw-0", "backbone"), ("backbone", "gw-0")):
-            link = net.link(src, dst)
-            link.spec = replace(link.spec, latency=0.0001, jitter=0.0)
+            spec = net.link(src, dst).spec
+            net.update_link_spec(src, dst, replace(spec, latency=0.0001, jitter=0.0))
         view.begin_drain("gw-0")
         assert self._select(dep, selector) != "gw-0"
 

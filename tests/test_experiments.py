@@ -148,6 +148,30 @@ class TestClaims:
         assert 30 < kb < 400
 
 
+class TestSelectionAblation:
+    def test_stretched_uplinks_route_by_their_new_latency(self, monkeypatch):
+        """A1 stretches each gateway uplink; routing must weigh the new spec."""
+        from repro.experiments import ablations
+
+        real_batch = ablations.run_pdagent_batch
+        weights = []
+
+        def recording_batch(scenario, *args, **kwargs):
+            net = scenario.network
+            for i in range(4):
+                for src, dst in ((f"gw-{i}", "backbone"), ("backbone", f"gw-{i}")):
+                    weights.append(
+                        (net._succ[src][dst], net.link(src, dst).spec.latency)
+                    )
+            return real_batch(scenario, *args, **kwargs)
+
+        monkeypatch.setattr(ablations, "run_pdagent_batch", recording_batch)
+        ablations.run_selection_ablation(seed=7, n_gateways=4)
+        assert len(weights) == 4 * 8
+        for weight, latency in weights:
+            assert weight == latency
+
+
 class TestReport:
     def test_format_table_alignment(self):
         text = format_table(["a", "bb"], [[1, 2.5], [10, 0.125]])
