@@ -18,8 +18,7 @@
 * :mod:`~repro.experiments.runner` — the ``pdagent-experiments`` CLI.
 """
 
-from .stats import flatness, growth_ratio, linear_fit, mean_ci
-from .sweep import SweepCell, SweepGrid, sweep
+from .stats import flatness, linear_fit
 from .faults import (
     FaultComparison,
     FaultRunResult,
@@ -50,11 +49,6 @@ from .scenario import (
 __all__ = [
     "linear_fit",
     "flatness",
-    "mean_ci",
-    "growth_ratio",
-    "sweep",
-    "SweepGrid",
-    "SweepCell",
     "EvaluationScenario",
     "PDAgentRunMetrics",
     "build_scenario",

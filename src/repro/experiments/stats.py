@@ -4,20 +4,17 @@ The figure benches assert *shapes* ("grows linearly", "flat", "unstable
 across trials"); these helpers turn those phrases into numbers:
 
 * :func:`linear_fit` — least-squares slope/intercept/R² (linearity);
-* :func:`flatness` — max/min ratio of a series (constancy);
-* :func:`mean_ci` — mean with a normal-approximation confidence interval;
-* :func:`growth_ratio` — end-to-end growth of a series.
+* :func:`flatness` — max/min ratio of a series (constancy).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["LinearFit", "linear_fit", "flatness", "mean_ci", "growth_ratio"]
+__all__ = ["LinearFit", "linear_fit", "flatness"]
 
 
 @dataclass(frozen=True)
@@ -27,9 +24,6 @@ class LinearFit:
     slope: float
     intercept: float
     r2: float
-
-    def predict(self, x: float) -> float:
-        return self.slope * x + self.intercept
 
 
 def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
@@ -61,37 +55,3 @@ def flatness(ys: Sequence[float]) -> float:
         raise ValueError("flatness needs positive values")
     return max(ys) / lo
 
-
-def mean_ci(ys: Sequence[float], confidence: float = 0.95) -> tuple[float, float]:
-    """``(mean, half_width)`` normal-approximation confidence interval."""
-    if not ys:
-        raise ValueError("empty sample")
-    if not 0 < confidence < 1:
-        raise ValueError("confidence must be in (0, 1)")
-    arr = np.asarray(ys, dtype=float)
-    mean = float(arr.mean())
-    if len(arr) == 1:
-        return mean, 0.0
-    # z for the two-sided interval via the probit of (1+confidence)/2.
-    z = math.sqrt(2.0) * _erfinv(confidence)
-    half = z * float(arr.std(ddof=1)) / math.sqrt(len(arr))
-    return mean, half
-
-
-def _erfinv(x: float) -> float:
-    """Inverse error function (Winitzki's approximation, |err| < 2e-3)."""
-    a = 0.147
-    ln_term = math.log(1.0 - x * x)
-    first = 2.0 / (math.pi * a) + ln_term / 2.0
-    return math.copysign(
-        math.sqrt(math.sqrt(first * first - ln_term / a) - first), x
-    )
-
-
-def growth_ratio(ys: Sequence[float]) -> float:
-    """last/first ratio of a positive series."""
-    if len(ys) < 2:
-        raise ValueError("need at least two points")
-    if ys[0] <= 0:
-        raise ValueError("growth_ratio needs a positive first value")
-    return ys[-1] / ys[0]

@@ -153,7 +153,6 @@ class MobileAgentServer:
         self._locations: dict[str, str] = {}  # home-side tracking
         self._running: set[str] = set()
         self._behaviour_procs: dict[str, Process] = {}
-        self._deactivated: dict[str, bytes] = {}  # agent_id -> stored form
         # Fault tolerance: home-side checkpoint store (modelled as durable —
         # it survives crash()), the (visited, remaining) counts that replace
         # the checkpoint of an agent completed here, per-agent progress
@@ -298,59 +297,15 @@ class MobileAgentServer:
         self.metrics.counter("agents_disposed").inc()
 
     def agent_status(self, agent_id: str) -> str:
-        """Lifecycle of a resident, deactivated, or home-tracked agent."""
+        """Lifecycle of a resident or home-tracked agent."""
         agent = self._agents.get(agent_id)
         if agent is not None:
             return agent.lifecycle.value
-        if agent_id in self._deactivated:
-            return AgentState.DEACTIVATED.value
         if agent_id in self._locations:
             return f"remote@{self._locations[agent_id]}"
         if agent_id in self._results:
             return AgentState.COMPLETED.value
         raise UnknownAgentError(f"{agent_id!r} unknown at {self.address}")
-
-    # -- deactivation (Aglets-style persistence) ------------------------------
-    def deactivate_agent(self, agent_id: str) -> int:
-        """Serialise an idle agent to server storage and evict it from memory.
-
-        Long-lived agents waiting for rare events need not occupy the
-        runtime (Aglets' ``deactivate``).  Returns the stored byte count.
-        The agent keeps its identity; :meth:`activate_agent` restores it.
-        """
-        agent = self.get_agent(agent_id)
-        if agent.lifecycle is AgentState.ACTIVE or agent_id in self._running:
-            raise AgentBusyError(f"{agent_id!r} is executing; cannot deactivate")
-        if agent.lifecycle.terminal:
-            raise AgentLifecycleError(f"{agent_id!r} is {agent.lifecycle.value}")
-        data = self.wire_format.encode(agent)
-        self._deactivated[agent_id] = data
-        self._agents.pop(agent_id, None)
-        agent.lifecycle = AgentState.DEACTIVATED
-        self.metrics.counter("agents_deactivated").inc()
-        return len(data)
-
-    def activate_agent(self, agent_id: str) -> MobileAgent:
-        """Restore a deactivated agent to resident (idle) state."""
-        data = self._deactivated.pop(agent_id, None)
-        if data is None:
-            raise UnknownAgentError(f"{agent_id!r} is not deactivated here")
-        snapshot = self.wire_format.decode(data)
-        cls = self.registry.get(snapshot.class_name)
-        agent = cls(
-            agent_id=snapshot.agent_id,
-            owner=snapshot.owner,
-            home=snapshot.home,
-            itinerary=snapshot.itinerary,
-            state=snapshot.state,
-        )
-        agent.hops = snapshot.hops
-        agent.trace_ctx = snapshot.trace
-        self._agents[agent.agent_id] = agent
-        agent._location_is_home = agent.home == self.address
-        agent.lifecycle = AgentState.IDLE
-        self.metrics.counter("agents_activated").inc()
-        return agent
 
     # -- completion -----------------------------------------------------------
     def completion_event(self, agent_id: str) -> Event:
@@ -686,8 +641,6 @@ class MobileAgentServer:
             )
             if completion.triggered:
                 return
-            if agent_id in self._deactivated:
-                return  # persisted on purpose; not the guardian's business
             progress = self._progress.get(agent_id, 0)
             if progress != last_progress:
                 last_progress = progress
@@ -778,9 +731,9 @@ class MobileAgentServer:
 
         Volatile state (resident agents, their mailboxes, running
         behaviours) is lost.  Durable state — results, home-side location
-        tracking, checkpoints, completion events, deactivated agents —
-        survives, mirroring a process that kept its database across a
-        reboot.  Idempotent; :meth:`restart` undoes it.
+        tracking, checkpoints, completion events — survives, mirroring a
+        process that kept its database across a reboot.  Idempotent;
+        :meth:`restart` undoes it.
         """
         if self.node.crashed:
             return
@@ -923,9 +876,6 @@ class MobileAgentServer:
         msg = payload.get("message")
         if not isinstance(msg, AgentMessage):
             return {"status": "error", "reason": "no AgentMessage"}
-        if msg.recipient in self._deactivated:
-            # Activation-on-message: wake the stored agent to receive.
-            self.activate_agent(msg.recipient)
         if msg.recipient in self._agents:
             self._deliver_local(msg)
             return {"status": "ok"}
@@ -1224,8 +1174,6 @@ class MobileAgentServer:
             body=body,
             sent_at=self.sim.now,
         )
-        if recipient_id in self._deactivated:
-            self.activate_agent(recipient_id)
         if recipient_id in self._agents:
             self._deliver_local(msg)
             return True

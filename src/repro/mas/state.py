@@ -31,7 +31,6 @@ class AgentState(enum.Enum):
     ACTIVE = "active"
     IDLE = "idle"
     MIGRATING = "migrating"
-    DEACTIVATED = "deactivated"  # serialised to server storage, not in memory
     COMPLETED = "completed"
     RETRACTED = "retracted"
     DISPOSED = "disposed"

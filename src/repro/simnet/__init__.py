@@ -21,7 +21,6 @@ from .faults import (
     LinkDegrade,
     LinkDown,
     NodeCrash,
-    Partition,
 )
 from .kernel import Simulator
 from .link import Link, LinkSpec
@@ -85,7 +84,6 @@ __all__ = [
     "LinkDown",
     "LinkDegrade",
     "NodeCrash",
-    "Partition",
     "Connection",
     "Socket",
     "Message",

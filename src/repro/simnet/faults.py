@@ -1,11 +1,11 @@
 """Deterministic fault injection driven by the simulation kernel.
 
 A :class:`FaultSchedule` is a declarative list of timed fault events —
-link outages, link degradation, node crash/restart, and network
-partitions.  :meth:`FaultSchedule.install` spawns one kernel process per
-event, so faults fire at exact simulated times and interleave with
-protocol traffic like real outages would.  Every injected fault (and its
-recovery) is appended to the network tracer's fault ledger
+link outages, link degradation and node crash/restart.
+:meth:`FaultSchedule.install` spawns one kernel process per event, so
+faults fire at exact simulated times and interleave with protocol traffic
+like real outages would.  Every injected fault (and its recovery) is
+appended to the network tracer's fault ledger
 (:attr:`~repro.simnet.trace.Tracer.faults`), which makes chaos runs
 auditable after the fact.
 
@@ -28,21 +28,14 @@ Semantics:
   agents.  With a ``duration`` the node restarts: listeners return and
   the MAS resumes accepting agents.  Durable state (tickets, results,
   checkpoints) survives by design — it models on-disk storage.
-* ``Partition`` cuts every link crossing between two node groups for the
-  window, then heals them.
-
-Randomised schedules stay reproducible: :meth:`FaultSchedule.random_link_outages`
-draws outage times from a named :class:`~repro.simnet.rng.Stream`, so the
-master seed fully determines the chaos.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Generator, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Generator, Optional, Union
 
 from .link import LinkSpec
-from .rng import Stream
 
 if TYPE_CHECKING:  # pragma: no cover
     from .primitives import Process
@@ -52,7 +45,6 @@ __all__ = [
     "LinkDown",
     "LinkDegrade",
     "NodeCrash",
-    "Partition",
     "FaultEvent",
     "FaultSchedule",
 ]
@@ -130,25 +122,7 @@ class NodeCrash:
             raise ValueError(f"non-positive downtime {self.duration!r}")
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Cut every link between ``group_a`` and ``group_b`` for the window."""
-
-    group_a: tuple[str, ...]
-    group_b: tuple[str, ...]
-    at: float
-    duration: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ValueError(f"negative fault time {self.at!r}")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError(f"non-positive partition duration {self.duration!r}")
-        if set(self.group_a) & set(self.group_b):
-            raise ValueError("partition groups must be disjoint")
-
-
-FaultEvent = Union[LinkDown, LinkDegrade, NodeCrash, Partition]
+FaultEvent = Union[LinkDown, LinkDegrade, NodeCrash]
 
 
 @dataclass
@@ -161,40 +135,8 @@ class FaultSchedule:
         self.events.append(event)
         return self
 
-    def extend(self, events: Iterable[FaultEvent]) -> "FaultSchedule":
-        self.events.extend(events)
-        return self
-
     def __len__(self) -> int:
         return len(self.events)
-
-    # -- generators ----------------------------------------------------------
-    @classmethod
-    def random_link_outages(
-        cls,
-        pairs: Sequence[tuple[str, str]],
-        horizon: float,
-        stream: Stream,
-        rate: float = 0.01,
-        mean_duration: float = 5.0,
-    ) -> "FaultSchedule":
-        """Poisson link outages over ``[0, horizon)``, one process per pair.
-
-        ``rate`` is outages per second per link pair; durations are
-        exponential with ``mean_duration``.  All draws come from ``stream``,
-        so the schedule is a pure function of the master seed.
-        """
-        if horizon <= 0:
-            raise ValueError(f"non-positive horizon {horizon!r}")
-        schedule = cls()
-        for src, dst in pairs:
-            t = stream.exponential(1.0 / rate) if rate > 0 else horizon
-            while t < horizon:
-                duration = max(stream.exponential(mean_duration), 1e-3)
-                schedule.add(LinkDown(src, dst, at=t, duration=duration))
-                t += duration + stream.exponential(1.0 / rate)
-        schedule.events.sort(key=lambda ev: ev.at)
-        return schedule
 
     # -- installation ---------------------------------------------------------
     def install(self, network: "Network") -> list["Process"]:
@@ -210,8 +152,6 @@ class FaultSchedule:
                 gen = self._drive_link_degrade(network, event)
             elif isinstance(event, NodeCrash):
                 gen = self._drive_node_crash(network, event)
-            elif isinstance(event, Partition):
-                gen = self._drive_partition(network, event)
             else:  # pragma: no cover - guarded by the FaultEvent union
                 raise TypeError(f"unknown fault event {event!r}")
             procs.append(
@@ -291,27 +231,3 @@ class FaultSchedule:
             node.resume_listeners()
         net.tracer.log_fault("node-restart", ev.address)
 
-    def _drive_partition(self, net: "Network", ev: Partition) -> Generator:
-        yield net.sim.timeout(ev.at)
-        group_a, group_b = set(ev.group_a), set(ev.group_b)
-        cut: list[tuple[str, str]] = []
-        for link in list(net.links):
-            a_to_b = link.src in group_a and link.dst in group_b
-            b_to_a = link.src in group_b and link.dst in group_a
-            if (a_to_b or b_to_a) and link.up:
-                net.set_link_state(link.src, link.dst, False)
-                cut.append(link.key)
-        target = f"{'|'.join(sorted(group_a))} / {'|'.join(sorted(group_b))}"
-        net.tracer.log_fault(
-            "partition",
-            target,
-            detail=f"{len(cut)} links cut"
-            + ("" if ev.duration is None else f" for {ev.duration:g}s"),
-        )
-        if ev.duration is None:
-            return
-        yield net.sim.timeout(ev.duration)
-        for a, b in cut:
-            if net.has_link(a, b):
-                net.set_link_state(a, b, True)
-        net.tracer.log_fault("partition-heal", target)

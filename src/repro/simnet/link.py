@@ -88,12 +88,6 @@ class LinkSpec:
         # normal, truncated at zero
         return max(0.0, stream.normal(self.latency, self.jitter))
 
-    def transfer_time(self, size: int, stream: Stream) -> float:
-        """Delay for a single successful transfer attempt of ``size`` bytes."""
-        if size < 0:
-            raise ValueError(f"negative size {size!r}")
-        return self.sample_latency(stream) + size / self.bandwidth
-
     # -- derivation ------------------------------------------------------------
     def scaled(self, latency_factor: float = 1.0, bandwidth_factor: float = 1.0) -> "LinkSpec":
         """A copy with latency/bandwidth scaled (used by parameter sweeps)."""

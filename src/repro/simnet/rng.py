@@ -64,13 +64,6 @@ class Stream:
     def normal(self, mean: float, std: float) -> float:
         return float((self._gen or self._build()).normal(mean, std))
 
-    def lognormal(self, mean: float, sigma: float) -> float:
-        return float((self._gen or self._build()).lognormal(mean, sigma))
-
-    def pareto(self, shape: float, scale: float = 1.0) -> float:
-        """Pareto(shape) scaled so the minimum value is ``scale``."""
-        return float(scale * (1.0 + (self._gen or self._build()).pareto(shape)))
-
     def bernoulli(self, p: float) -> bool:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability {p!r} outside [0, 1]")

@@ -280,16 +280,6 @@ class Network:
         """Links along the current route from ``src`` to ``dst``."""
         return self._path(src, dst)[0]
 
-    def bottleneck_bandwidth(self, src: str, dst: str) -> float:
-        """Minimum bandwidth along the route (fluid model)."""
-        return self._path(src, dst)[1]
-
-    def base_rtt(self, src: str, dst: str) -> float:
-        """Deterministic (jitter-free) round-trip latency between two nodes."""
-        fwd = sum(l.spec.latency for l in self.path_links(src, dst))
-        back = sum(l.spec.latency for l in self.path_links(dst, src))
-        return fwd + back
-
     # -- end-to-end delay sampling ------------------------------------------
     def sample_path_delay(self, src: str, dst: str, size: int) -> tuple[float, int]:
         """One end-to-end delivery attempt: ``(delay, retries)``.

@@ -25,7 +25,6 @@ from repro.simnet import (
     LinkDown,
     Network,
     NodeCrash,
-    Partition,
 )
 from repro.simnet.link import LinkSpec
 from repro.simnet.topology import NoRouteError
@@ -128,30 +127,6 @@ class TestFaultScheduleMechanics:
         assert not net.node("c").crashed
         assert net.node("c").listener(9) is not None
         assert [f.kind for f in net.tracer.faults] == ["node-crash", "node-restart"]
-
-    def test_partition_cuts_crossing_links_and_heals(self):
-        net = small_network()
-        schedule = FaultSchedule()
-        schedule.add(Partition(("a", "b"), ("c", "d"), at=1.0, duration=2.0))
-        schedule.install(net)
-        net.sim.run(until=1.5)
-        with pytest.raises(NoRouteError):
-            net.route("a", "d")
-        assert net.route("a", "b") == ["a", "b"]  # intra-group links untouched
-        net.sim.run(until=4.0)
-        assert net.route("a", "d") == ["a", "b", "c", "d"]
-        assert [f.kind for f in net.tracer.faults] == ["partition", "partition-heal"]
-
-    def test_random_outages_are_seed_deterministic(self):
-        pairs = [("a", "b"), ("c", "d")]
-        one = FaultSchedule.random_link_outages(
-            pairs, horizon=500.0, stream=Network(master_seed=3).streams.get("chaos")
-        )
-        two = FaultSchedule.random_link_outages(
-            pairs, horizon=500.0, stream=Network(master_seed=3).streams.get("chaos")
-        )
-        assert len(one) > 0
-        assert one.events == two.events
 
 
 class TestRetryReproducibility:

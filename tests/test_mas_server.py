@@ -4,7 +4,6 @@ messaging, remote management, and wire-format portability."""
 import pytest
 
 from repro.mas import (
-    AgentBusyError,
     AgentClassRegistry,
     AgentState,
     AgletsWireFormat,
@@ -408,66 +407,6 @@ class TestWireFormats:
     def test_unknown_flavour_raises(self):
         with pytest.raises(KeyError):
             wire_format_by_name("corba")
-
-
-class TestDeactivation:
-    def test_deactivate_and_activate_roundtrip(self):
-        net, reg, servers = make_world()
-        reg.register(Resident)
-        agent = servers["home"].create_agent(
-            "Resident", owner="me", state={"inbox": [], "k": 42}
-        )
-        net.sim.run()
-        stored = servers["home"].deactivate_agent(agent.agent_id)
-        assert stored > 0
-        assert agent.agent_id not in servers["home"].resident_agents()
-        assert servers["home"].agent_status(agent.agent_id) == "deactivated"
-        restored = servers["home"].activate_agent(agent.agent_id)
-        assert restored.agent_id == agent.agent_id
-        assert restored.state["k"] == 42
-        assert restored.lifecycle is AgentState.IDLE
-
-    def test_deactivate_active_agent_rejected(self):
-        net, reg, servers = make_world()
-        reg.register(Sleeper)
-        it = Itinerary(origin="home", stops=[Stop("site-1")])
-        agent = servers["home"].create_agent(
-            "Sleeper", owner="me", itinerary=it, state={"dwell": 10.0}
-        )
-        net.sim.run(until=1.0)
-        # agent is dwelling (ACTIVE) at site-1
-        with pytest.raises(AgentBusyError):
-            servers["site-1"].deactivate_agent(agent.agent_id)
-
-    def test_activate_unknown_raises(self):
-        net, reg, servers = make_world()
-        with pytest.raises(UnknownAgentError):
-            servers["home"].activate_agent("ghost")
-
-    def test_message_wakes_deactivated_agent(self):
-        net, reg, servers = make_world()
-        reg.register(Resident)
-        agent = servers["home"].create_agent("Resident", owner="me")
-        net.sim.run()
-        servers["home"].deactivate_agent(agent.agent_id)
-
-        proc = net.sim.process(
-            servers["home"].send_agent_message("x", agent.agent_id, "wake", {})
-        )
-        assert net.sim.run(until=proc) is True
-        net.sim.run()
-        # the *restored* instance got the message
-        restored = servers["home"].get_agent(agent.agent_id)
-        assert restored.state.get("inbox") == ["wake"]
-
-    def test_deactivated_excluded_from_residents(self):
-        net, reg, servers = make_world()
-        reg.register(Resident)
-        a = servers["home"].create_agent("Resident", owner="me")
-        b = servers["home"].create_agent("Resident", owner="me")
-        net.sim.run()
-        servers["home"].deactivate_agent(a.agent_id)
-        assert servers["home"].resident_agents() == [b.agent_id]
 
 
 class Finisher(MobileAgent):

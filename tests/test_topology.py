@@ -59,23 +59,6 @@ class TestLinkSpec:
         link = net.add_link("a", "b", s)
         assert all(link.spec.sample_latency(link.stream) >= 0 for _ in range(200))
 
-    def test_transfer_time_includes_serialisation(self):
-        s = spec(latency=0.1, bandwidth=1000)
-        net = Network(master_seed=0)
-        net.add_node("a")
-        net.add_node("b")
-        link = net.add_link("a", "b", s)
-        assert link.spec.transfer_time(1000, link.stream) == pytest.approx(1.1)
-
-    def test_transfer_negative_size_raises(self):
-        s = spec()
-        net = Network(master_seed=0)
-        net.add_node("a")
-        net.add_node("b")
-        link = net.add_link("a", "b", s)
-        with pytest.raises(ValueError):
-            link.spec.transfer_time(-1, link.stream)
-
     def test_scaled(self):
         s = spec(latency=0.1, bandwidth=1000, jitter=0.02)
         s2 = s.scaled(latency_factor=2.0, bandwidth_factor=0.5)
@@ -141,18 +124,6 @@ class TestTopology:
         net.update_link_spec("c", "a", spec(latency=0.005))
         assert_routes_match_networkx(net)
         assert net.route("d", "a") == ["d", "c", "a"]
-
-    def test_bottleneck_bandwidth(self, net):
-        net2 = Network()
-        for n in ("x", "y", "z"):
-            net2.add_node(n)
-        net2.add_link("x", "y", spec(bandwidth=100))
-        net2.add_link("y", "z", spec(bandwidth=50))
-        assert net2.bottleneck_bandwidth("x", "z") == 50
-
-    def test_base_rtt_symmetric_topology(self, net):
-        rtt = net.base_rtt("a", "c")
-        assert rtt == pytest.approx(0.04)  # 2 hops x 0.01 each way
 
     def test_sample_path_delay_accounts_bytes(self, net):
         delay, retries = net.sample_path_delay("a", "b", 1_000_000)

@@ -11,12 +11,7 @@ from repro.apps.ebanking import (
 from repro.core import DeploymentBuilder
 from repro.core.errors import PDAgentError
 from repro.core.ui import DeviceUI
-from repro.experiments.stats import (
-    flatness,
-    growth_ratio,
-    linear_fit,
-    mean_ci,
-)
+from repro.experiments.stats import flatness, linear_fit
 from repro.mas import Stop
 
 
@@ -105,7 +100,6 @@ class TestStats:
         assert fit.slope == pytest.approx(2.0)
         assert fit.intercept == pytest.approx(1.0)
         assert fit.r2 == pytest.approx(1.0)
-        assert fit.predict(10) == pytest.approx(21.0)
 
     def test_linear_fit_flat_series(self):
         fit = linear_fit([1, 2, 3], [5, 5, 5])
@@ -129,25 +123,6 @@ class TestStats:
             flatness([])
         with pytest.raises(ValueError):
             flatness([0.0, 1.0])
-
-    def test_mean_ci(self):
-        mean, half = mean_ci([10.0, 10.0, 10.0])
-        assert mean == pytest.approx(10.0)
-        assert half == pytest.approx(0.0)
-        mean, half = mean_ci([8.0, 12.0, 10.0, 10.0])
-        assert half > 0
-        with pytest.raises(ValueError):
-            mean_ci([])
-        with pytest.raises(ValueError):
-            mean_ci([1.0], confidence=2.0)
-
-    def test_mean_ci_single_sample(self):
-        assert mean_ci([5.0]) == (5.0, 0.0)
-
-    def test_growth_ratio(self):
-        assert growth_ratio([2.0, 4.0, 8.0]) == pytest.approx(4.0)
-        with pytest.raises(ValueError):
-            growth_ratio([1.0])
 
     def test_fig12_series_satisfy_stats(self):
         """The real Figure 12 series pass the statistical shape tests."""
