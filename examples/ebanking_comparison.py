@@ -58,27 +58,13 @@ def main() -> None:
     # --- client-agent-server -----------------------------------------------------
     scenario = build_scenario(seed=5, with_agent_server=True)
     runner = scenario.client_agent_server_runner()
-
-    def cas_run():
-        ticket = yield from runner.submit(
-            "ebanking", {"transactions": scenario.transactions(N_TXNS)}
-        )
-        yield scenario.agent_server.completion_of(ticket)
-        data = yield from runner.collect(ticket)
-        return ticket, data
-
-    t0 = scenario.sim.now
-    proc = scenario.sim.process(cas_run())
-    ticket, data = scenario.sim.run(until=proc)
-    tracer = scenario.network.tracer
+    params = {"transactions": scenario.transactions(N_TXNS)}
+    proc = scenario.sim.process(runner.run("ebanking", params))
+    cas = scenario.sim.run(until=proc)
+    data = cas.details[0]["data"]
     rows.append(
-        [
-            "client-agent-server",
-            tracer.connection_time("pda", since=t0),
-            scenario.sim.now - t0,
-            tracer.connection_count("pda", since=t0),
-            sum(1 for t in data["transactions"] if t["status"] == "ok"),
-        ]
+        ["client-agent-server", cas.connection_time, cas.completion_time,
+         cas.connections, sum(1 for t in data["transactions"] if t["status"] == "ok")]
     )
 
     print(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from ..mas import Itinerary, MobileAgentServer, Stop
 from ..mas.serializer import typed_xml, value_from_xml
@@ -131,10 +131,10 @@ class AgentServer:
 class ClientAgentServerRunner:
     """Device-side driver for the client-agent-server approach."""
 
-    def __init__(self, device: "Device", server_address: str) -> None:
+    def __init__(self, device: "Device", agent_server: AgentServer) -> None:
         self.device = device
         self.network = device.network
-        self.server_address = server_address
+        self.agent_server = agent_server
 
     def submit(self, service: str, params: dict[str, Any]) -> Generator:
         """Process: upload the request; returns the ticket id."""
@@ -144,7 +144,7 @@ class ClientAgentServerRunner:
         resp = yield from request(
             self.network,
             self.device.address,
-            self.server_address,
+            self.agent_server.address,
             "POST",
             "/request",
             body=body,
@@ -159,7 +159,7 @@ class ClientAgentServerRunner:
         resp = yield from request(
             self.network,
             self.device.address,
-            self.server_address,
+            self.agent_server.address,
             "GET",
             f"/result/{ticket}",
             port=AGENT_SERVER_PORT,
@@ -173,29 +173,18 @@ class ClientAgentServerRunner:
         doc = parse_bytes(resp.body)
         return value_from_xml(doc.require_child("data"))
 
-    def run(
-        self,
-        service: str,
-        params: dict[str, Any],
-        completion_event: Optional[Event] = None,
-    ) -> Generator:
+    def run(self, service: str, params: dict[str, Any]) -> Generator:
         """Process: submit → (offline) → collect; returns BaselineRunResult.
 
-        ``completion_event`` is the experiment's omniscient "the user comes
-        back later" signal; without it the runner polls every 5 s.
+        The user comes back once the agent server's agent has completed,
+        so the device opens exactly two connections.
         """
         sim = self.network.sim
         tracer = self.network.tracer
         t0 = sim.now
         ticket = yield from self.submit(service, params)
-        if completion_event is not None:
-            yield completion_event
-            data = yield from self.collect(ticket)
-        else:
-            data = None
-            while data is None:
-                yield sim.timeout(5.0)
-                data = yield from self.collect(ticket)
+        yield self.agent_server.completion_of(ticket)
+        data = yield from self.collect(ticket)
         completion = sim.now - t0
         sent, received = tracer.bytes_transferred(self.device.address, since=t0)
         txns = params.get("transactions", []) if isinstance(params, dict) else []

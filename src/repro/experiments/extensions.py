@@ -217,31 +217,16 @@ def run_cas_comparison(
     """E4: both disconnected models have flat, similar connection profiles."""
     rows = []
     for n in ns:
-        scenario = build_scenario(seed=seed)
-        metrics = run_pdagent_batch(scenario, n)
-
+        metrics = run_pdagent_batch(build_scenario(seed=seed), n)
         scenario = build_scenario(seed=seed, with_agent_server=True)
         runner = scenario.client_agent_server_runner()
-
-        def flow():
-            ticket = yield from runner.submit(
-                "ebanking", {"transactions": scenario.transactions(n)}
-            )
-            yield scenario.agent_server.completion_of(ticket)
-            t0 = scenario.sim.now
-            data = yield from runner.collect(ticket)
-            return ticket
-
-        tracer = scenario.network.tracer
-        t_start = scenario.sim.now
-        proc = scenario.sim.process(flow())
-        scenario.sim.run(until=proc)
-        cas_conn = tracer.connection_time("pda", since=t_start)
+        params = {"transactions": scenario.transactions(n)}
+        cas = scenario.sim.run(until=scenario.sim.process(runner.run("ebanking", params)))
         rows.append(
             CasRow(
                 n_transactions=n,
                 pdagent_conn_time=metrics.connection_time,
-                cas_conn_time=cas_conn,
+                cas_conn_time=cas.connection_time,
             )
         )
     return rows

@@ -111,7 +111,7 @@ class EvaluationScenario:
     def client_agent_server_runner(self) -> ClientAgentServerRunner:
         if self.agent_server is None:
             raise RuntimeError("scenario built without an agent server")
-        return ClientAgentServerRunner(self.pda, self.agent_server.address)
+        return ClientAgentServerRunner(self.pda, self.agent_server)
 
 
 def build_scenario(

@@ -91,18 +91,10 @@ class TestClientAgentServer:
     def test_submit_and_collect(self):
         scenario = build_scenario(seed=33, with_agent_server=True)
         runner = scenario.client_agent_server_runner()
-
-        def flow():
-            ticket = yield from runner.submit(
-                "ebanking", {"transactions": scenario.transactions(3)}
-            )
-            yield scenario.agent_server.completion_of(ticket)
-            data = yield from runner.collect(ticket)
-            return data
-
-        proc = scenario.sim.process(flow())
-        data = scenario.sim.run(until=proc)
-        assert len(data["transactions"]) == 3
+        params = {"transactions": scenario.transactions(3)}
+        proc = scenario.sim.process(runner.run("ebanking", params))
+        result = scenario.sim.run(until=proc)
+        assert len(result.details[0]["data"]["transactions"]) == 3
 
     def test_uninstalled_service_rejected(self):
         from repro.simnet.http import HttpError
@@ -138,27 +130,12 @@ class TestClientAgentServer:
     def test_run_metrics_two_connections(self):
         scenario = build_scenario(seed=33, with_agent_server=True)
         runner = scenario.client_agent_server_runner()
-
-        def flow():
-            # use run() with the oracle completion event
-            ticket_holder = {}
-
-            def patched_submit(service, params):
-                ticket = yield from runner.submit(service, params)
-                ticket_holder["t"] = ticket
-                return ticket
-
-            result = yield from runner.run(
-                "ebanking",
-                {"transactions": scenario.transactions(2)},
-            )
-            return result
-
-        proc = scenario.sim.process(flow())
+        params = {"transactions": scenario.transactions(2)}
+        proc = scenario.sim.process(runner.run("ebanking", params))
         result = scenario.sim.run(until=proc)
         assert result.approach == "client-agent-server"
-        # submit + N polls + final collect; polling happens every 5s
-        assert result.connections >= 2
+        # the submit, then one collect once the agent has completed
+        assert result.connections == 2
 
     def test_installed_services_listing(self):
         scenario = build_scenario(seed=33, with_agent_server=True)

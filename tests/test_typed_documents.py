@@ -240,15 +240,9 @@ def test_client_agent_server_bodies_pinned(monkeypatch):
 
     monkeypatch.setattr(cas, "request", recording)
 
-    def flow():
-        ticket = yield from runner.submit(
-            "ebanking", {"transactions": scenario.transactions(3), "note": "<&>"}
-        )
-        yield scenario.agent_server.completion_of(ticket)
-        return (yield from runner.collect(ticket))
-
-    data = scenario.sim.run(until=scenario.sim.process(flow()))
-    assert len(data["transactions"]) == 3
+    params = {"transactions": scenario.transactions(3), "note": "<&>"}
+    result = scenario.sim.run(until=scenario.sim.process(runner.run("ebanking", params)))
+    assert len(result.details[0]["data"]["transactions"]) == 3
     assert len(bodies) == 2  # the request, then the result
     assert digest(bodies) == CAS_SHA256
 
