@@ -54,7 +54,7 @@ ENTRY_POINTS = [
 # Runs one entry point under the profile hook, then writes the
 # ``[file, first line]`` of every called code object under src/repro.
 _CHILD = r"""
-import json, runpy, sys
+import json, os, runpy, sys
 out, src, args = sys.argv[1], sys.argv[2], sys.argv[3:]
 seen = {}
 
@@ -69,7 +69,7 @@ try:
     if args[0] == "-m":
         runpy.run_module(args[1], run_name="__main__", alter_sys=True)
     else:
-        sys.path.insert(0, args[0].rsplit("/", 1)[0])
+        sys.path.insert(0, os.path.dirname(args[0]))
         runpy.run_path(args[0], run_name="__main__")
 except SystemExit as exc:
     status = exc.code
