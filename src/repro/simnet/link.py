@@ -63,20 +63,23 @@ class LinkSpec:
     name: str = "link"
 
     def __post_init__(self) -> None:
-        if self.latency < 0:
-            raise ValueError(f"negative latency {self.latency!r}")
-        if self.bandwidth <= 0:
-            raise ValueError(f"non-positive bandwidth {self.bandwidth!r}")
-        if self.jitter < 0:
-            raise ValueError(f"negative jitter {self.jitter!r}")
+        # Each check is written so that NaN, which fails every comparison,
+        # fails it too: latency is a routing weight, and shortest-path
+        # reasoning needs every weight to be a number >= 0.
+        if not self.latency >= 0:
+            raise ValueError(f"latency {self.latency!r} is negative or NaN")
+        if not self.bandwidth > 0:
+            raise ValueError(f"bandwidth {self.bandwidth!r} is not positive")
+        if not self.jitter >= 0:
+            raise ValueError(f"jitter {self.jitter!r} is negative or NaN")
         if not 0.0 <= self.loss < 1.0:
             raise ValueError(f"loss {self.loss!r} outside [0, 1)")
         if self.jitter_model not in ("exponential", "normal", "none"):
             raise ValueError(f"unknown jitter model {self.jitter_model!r}")
-        if self.setup_time < 0:
-            raise ValueError(f"negative setup_time {self.setup_time!r}")
-        if self.rto <= 0:
-            raise ValueError(f"non-positive rto {self.rto!r}")
+        if not self.setup_time >= 0:
+            raise ValueError(f"setup_time {self.setup_time!r} is negative or NaN")
+        if not self.rto > 0:
+            raise ValueError(f"rto {self.rto!r} is not positive")
 
     # -- sampling ------------------------------------------------------------
     def sample_latency(self, stream: Stream) -> float:

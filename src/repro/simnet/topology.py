@@ -3,9 +3,12 @@
 The :class:`Network` ties together the kernel, the RNG streams, the node
 table and the link table.  Routes are shortest paths weighted by base link
 latency, computed lazily and cached until the topology changes; single-link
-(leaf) hops at either end are taken without a graph search.  The routing
-graph is two adjacency maps; networkx is imported only when a route needs
-a search, so a star deployment, routed by leaf links alone, never loads it.
+(leaf) hops at either end are taken without a graph search, and so is the
+pair left between them when its direct link is provably the one shortest
+path, or when no path can leave or reach it.  The routing graph is two
+adjacency maps; networkx is imported only when a route needs a search, so
+a star deployment, and an AP-cell one whose APs hang off the backbone by
+one fast link each, never loads it.
 
 Multi-hop transfers are modelled end-to-end: propagation delay is the sum of
 per-link latency samples and serialisation uses the bottleneck (minimum)
@@ -202,17 +205,28 @@ class Network:
         return path
 
     def _leaf_route(self, src: str, dst: str) -> Optional[list[str]]:
-        """Peel single links off both ends, then search what is left.
+        """Peel single links off both ends, then settle or search what is left.
 
         While the head of the path has exactly one out-link, or its tail
         exactly one in-link, that link is a bridge every ``src`` -> ``dst``
         path crosses, so it is taken without a search.  Star routes are
-        taken by the two walks alone; otherwise (an AP-cell route, say) the
-        pair left between them costs one :meth:`_search`, cached under its
-        own pair.  The spliced path is the one networkx returns for ``src``
-        -> ``dst`` whenever the shortest path is unique, as it is on a tree.
-        A walk that comes back to a node it peeled is a closed loop short of
-        the other end: no route (None).
+        taken by the two walks alone.  Otherwise a core pair ``(a, b)`` is
+        left between them, settled in two cases that need no search:
+
+        1. ``a -> b`` is up and every other link out of ``a``, or every
+           other link into ``b``, is strictly slower.  Weights are never
+           negative (nor NaN), so every other path is strictly longer and
+           ``[a, b]`` is the unique shortest path.  An AP-cell route's
+           ``(ap, backbone)`` core is settled so: the LAN uplink beats the
+           AP's WLAN links out, and the downlink its WLAN links in.
+        2. ``a`` has no out-link or ``b`` no in-link: no route (None).
+
+        Any other core (a tie, a mesh, an AP whose uplink is down while its
+        devices still link to it) costs one :meth:`_search`.  A settled or
+        searched core is cached under its own pair.  The spliced path is the
+        one networkx returns for ``src`` -> ``dst`` whenever the shortest
+        path is unique, as it is on a tree.  A walk that comes back to a
+        node it peeled is a closed loop short of the other end: no route.
         """
         succ, pred = self._succ, self._pred
         head = {src: 0}  # peeled node -> its position on the path
@@ -237,9 +251,19 @@ class Network:
         core = (core_src, node)
         middle = self._routes.get(core)
         if middle is None:
-            middle = self._search(*core)
-            if middle is None:
+            out, into = succ[core_src], pred[node]
+            if not out or not into:
                 return None
+            weight = out.get(node)
+            if weight is not None and (
+                all(w > weight for x, w in out.items() if x != node)
+                or all(w > weight for x, w in into.items() if x != core_src)
+            ):
+                middle = [core_src, node]
+            else:
+                middle = self._search(*core)
+                if middle is None:
+                    return None
             self._routes[core] = middle
         return list(head) + middle[1:-1] + list(tail)[::-1]
 

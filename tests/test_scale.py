@@ -120,13 +120,28 @@ result = run_population(50, seed=0)
 report = {"completed": result.tasks_completed}
 """
 
-#: A simtest scenario: its devices sit in AP cells, whose routes search.
+#: A simtest scenario: its devices sit in AP cells, each AP's core pair
+#: settled by its direct link.
 AP_CELL_RUN = """
 from repro.simtest.harness import run_spec
 from repro.simtest.spec import generate
 
-run_spec(generate(0))
-report = {}
+report = {"violations": len(run_spec(generate(0)).violations)}
+"""
+
+#: Two hubs joined directly and through m, every link equally fast: the hub
+#: pair's direct link ties with other first and last hops, so it is searched.
+TIED_HUBS_RUN = """
+from repro.simnet import LinkSpec, Network
+
+net = Network()
+for name in ("h1", "h2", "m", "a1", "a2", "b1", "b2"):
+    net.add_node(name)
+lan = LinkSpec(latency=0.01, bandwidth=1e6)
+for a, b in [("h1", "h2"), ("h1", "m"), ("m", "h2"), ("a1", "h1"), ("a2", "h1"),
+             ("b1", "h2"), ("b2", "h2")]:
+    net.add_duplex_link(a, b, lan)
+report = {"route": net.route("a1", "b1")}
 """
 
 
@@ -177,8 +192,10 @@ class TestNoSqlite:
 
 
 class TestNetworkxOnDemand:
-    """networkx is imported by the first route that needs a graph search,
-    so a star deployment, routed by leaf links alone, never loads it."""
+    """networkx is imported by the first route that needs a graph search.
+    A star deployment is routed by leaf links alone, and an AP-cell one by
+    leaf links and each AP's direct link to the backbone, so neither loads
+    it."""
 
     def test_star_run_never_imports_networkx(self):
         assert run_fresh(STAR_RUN) == {"completed": 50, "networkx": False}
@@ -187,10 +204,18 @@ class TestNetworkxOnDemand:
         report = run_fresh(STAR_RUN, block_networkx=True)
         assert report == {"completed": 50, "networkx": False}
 
-    def test_ap_cell_run_imports_networkx(self):
+    def test_ap_cell_run_never_imports_networkx(self):
+        assert run_fresh(AP_CELL_RUN) == {"violations": 0, "networkx": False}
+
+    def test_ap_cell_run_needs_no_networkx_installed(self):
+        report = run_fresh(AP_CELL_RUN, block_networkx=True)
+        assert report == {"violations": 0, "networkx": False}
+
+    def test_tied_hub_route_imports_networkx(self):
         """The control: the check does see networkx once a route loads it,
-        so the two star cases cannot pass vacuously."""
-        assert run_fresh(AP_CELL_RUN) == {"networkx": True}
+        so the cases above cannot pass vacuously."""
+        report = run_fresh(TIED_HUBS_RUN)
+        assert report == {"route": ["a1", "h1", "h2", "b1"], "networkx": True}
 
 
 class TestRetainedState:

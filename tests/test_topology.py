@@ -35,6 +35,14 @@ class TestLinkSpec:
         with pytest.raises(ValueError):
             LinkSpec(latency=0, bandwidth=1, setup_time=-0.1)
 
+    @pytest.mark.parametrize("field", ["latency", "bandwidth", "jitter", "setup_time", "rto"])
+    def test_nan_refused(self, field):
+        """NaN fails every ordered comparison, so a check written as
+        ``value < 0`` lets it through; a NaN latency would become a routing
+        weight and surface only as a NaN timeout at the first transfer."""
+        with pytest.raises(ValueError, match=field):
+            spec(**{field: float("nan")})
+
     def test_no_jitter_is_deterministic(self):
         net = Network(master_seed=0)
         net.add_node("a")
@@ -273,6 +281,20 @@ def assert_routes_match_networkx(net):
                 assert net.route(s, d) == expected, (s, d)
 
 
+@pytest.fixture
+def searches(monkeypatch):
+    """The (src, dst) pairs ``Network._search`` is asked for, in order."""
+    asked = []
+    search = Network._search
+
+    def counted(self, src, dst):
+        asked.append((src, dst))
+        return search(self, src, dst)
+
+    monkeypatch.setattr(Network, "_search", counted)
+    return asked
+
+
 class TestRoutePins:
     """``Network.route`` against networkx on the shapes deployments build."""
 
@@ -316,6 +338,62 @@ class TestRoutePins:
         assert dep.network.route("dev-0", "dev-3") == [
             "dev-0", "ap-0", "backbone", "ap-1", "dev-3",
         ]
+
+    def test_ap_cell_cores_need_no_search(self, searches):
+        """A LAN uplink is faster than every WLAN link out of its AP, and
+        the backbone's LAN downlink faster than every WLAN link into it, so
+        each (ap, backbone) core is settled both ways by its direct link.
+        Only a route between two cells, whose (ap, ap') core has no direct
+        link, is left to a search."""
+        net = self._ap_cells().network
+        wired = ("central", "gw-0", "gw-1", "bank-a")
+        for dev in ("dev-0", "dev-1", "dev-2", "dev-3"):
+            for host in wired:
+                net.route(dev, host)
+                net.route(host, dev)
+        assert searches == []
+        for ap in ("ap-0", "ap-1"):
+            assert net._routes[(ap, "backbone")] == [ap, "backbone"]
+            assert net._routes[("backbone", ap)] == ["backbone", ap]
+        assert_routes_match_networkx(net)
+        assert set(searches) == {("ap-0", "ap-1"), ("ap-1", "ap-0")}
+
+    @pytest.mark.parametrize(
+        "down, src, dst",
+        [
+            (("dev-1", "ap-1"), "dev-1", "gw-0"),
+            (("ap-1", "dev-1"), "gw-0", "dev-1"),
+        ],
+        ids=["source-has-no-out-link", "destination-has-no-in-link"],
+    )
+    def test_core_with_a_dead_end_needs_no_search(self, searches, down, src, dst):
+        """A core whose source has no link out, or whose destination has no
+        link in, has no route; that takes no search to know."""
+        net = self._ap_cells().network
+        net.set_link_state(*down, up=False)
+        with pytest.raises(NoRouteError, match=f"^no route {src} -> {dst}$"):
+            net.route(src, dst)
+        assert searches == []
+        assert_routes_match_networkx(net)
+
+    @pytest.mark.parametrize(
+        "a_to_x, x_to_b",
+        [(0.01, 0.0), (0.0, 0.01)],
+        ids=["first-hop-ties", "last-hop-ties"],
+    )
+    def test_direct_link_that_ties_is_searched(self, searches, a_to_x, x_to_b):
+        """``a -> x -> b`` is exactly as long as the direct ``a -> b`` link:
+        x's zero-latency link makes the other path tie on its first hop out
+        of a, or on its last hop into b.  The direct link is then not the
+        unique shortest path, so the core is searched."""
+        net = Network()
+        for name in ("a", "b", "x"):
+            net.add_node(name)
+        net.add_link("a", "b", spec(latency=0.01))
+        net.add_link("a", "x", spec(latency=a_to_x))
+        net.add_link("x", "b", spec(latency=x_to_b))
+        assert net.route("a", "b") in (["a", "b"], ["a", "x", "b"])
+        assert searches == [("a", "b")]
 
     def test_after_handover(self):
         dep = self._ap_cells()
