@@ -8,7 +8,7 @@ vacuous), collect-anywhere completeness, and a bounded forwarding overhead
 in **simulated** time.  Run it with
 ``python -m pytest -q --benchmark-disable benchmarks/bench_fleet.py``.
 
-Unlike ``bench_scale``'s committed wall-clock baseline, every gate here is
+Unlike ``bench_scale``'s wall-clock throughput floor, every gate here is
 self-relative and expressed in simulated seconds, so it is exactly
 reproducible on any machine: with the claim RPC being one LAN round trip
 per roamed upload, the fleet run's simulated makespan may exceed the

@@ -1,120 +1,79 @@
-"""Population-scale benchmark and regression gate.
+"""Population-scale regression gate.
 
-Two jobs in one file:
+    python benchmarks/bench_scale.py
 
-* ``test_scale_*`` — pytest-collectable benchmarks that run a small
-  population sweep and gate against the committed ``BENCH_scale.json``
-  baseline: the simulated timeline must be *exactly* reproduced
-  (``events_processed`` equality — determinism is free to check), and
-  kernel throughput must not regress more than ``MAX_REGRESSION``
-  (20%) against the baseline's events/sec.
-* ``python benchmarks/bench_scale.py`` — standalone CLI that runs the same
-  gate without pytest (used by the CI benchmark job).
+Runs :func:`repro.experiments.scale.run_population` at seed 0, first at 100
+devices and then at 1,000, prints each run's events, kernel events/sec,
+wall-clock per simulated task and peak RSS, and exits with status 1 unless
 
-The throughput gate deliberately compares against a *committed* number, not
-a same-run rebuild: wall-clock drift between the machine that produced the
-baseline and the machine running CI is absorbed by the generous 20% margin,
-while order-of-magnitude regressions (an accidentally quadratic hot path,
-a dropped cache) still fail loudly.
+* each run processes exactly its pinned number of events — a changed
+  event count means the simulated timeline changed, not just its speed
+  (``run_population`` itself raises when a task does not complete);
+* the 100-device run reaches ``EVENTS_PER_SEC_FLOOR`` kernel events/sec.
+
+The floor is an absolute number, so it depends on the host: a host much
+slower than the one that recorded it can fail with the code unchanged, and
+a much faster one passes a slowdown the floor was meant to catch.  It
+catches order-of-magnitude regressions (an accidentally quadratic hot path,
+a dropped cache) on any host.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(
+    0, os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+)
 
 from repro.experiments.scale import run_population  # noqa: E402
 
-#: Population used for the gate — small enough for CI, large enough that
-#: per-event costs dominate the (one-time) deployment build.
-GATE_POPULATION = 100
-#: Allowed events/sec slowdown vs the committed baseline.
-MAX_REGRESSION = 0.20
-
-BASELINE_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_scale.json")
-
-
-def load_baseline(population: int = GATE_POPULATION) -> dict:
-    """The committed ``BENCH_scale.json`` entry for ``population`` (or raise)."""
-    with open(BASELINE_PATH, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    for entry in doc["populations"]:
-        if entry["population"] == population:
-            return entry
-    raise KeyError(f"no baseline entry for population {population}")
+#: Master seed of every run.
+SEED = 0
+#: ``(devices, events_processed)`` of each run, in the order they run.
+PINNED_EVENTS = ((100, 12_203), (1_000, 122_003))
+#: The run held to the throughput floor: small enough for CI, large enough
+#: that per-event costs dominate the one-time deployment build.  It runs
+#: first, in a fresh interpreter.
+FLOOR_POPULATION = 100
+#: 80% of the 13,394.4968 events/sec the 100-device run reached on a
+#: 2-vCPU VM before leaf routing and the later hot-path passes; the code
+#: since reads about 24-29k on a 2-vCPU host.
+EVENTS_PER_SEC_FLOOR = 0.8 * 13394.4968
 
 
-def run_gate(population: int = GATE_POPULATION, seed: int = 0) -> dict:
-    """Run one population and compare it to the committed baseline.
-
-    Returns a report dict; raises ``AssertionError`` on any gate failure.
-    """
-    baseline = load_baseline(population)
-    result = run_population(population, seed=seed)
-
-    # Determinism gate: the simulated timeline is seed-deterministic, so the
-    # event count must match the baseline *exactly* — any drift means a
-    # behaviour change snuck in alongside (or disguised as) a perf change.
-    assert result.events_processed == baseline["events_processed"], (
-        f"events_processed drifted: baseline {baseline['events_processed']}, "
-        f"got {result.events_processed} — the simulation timeline changed"
+def check(population: int, events: int) -> list[str]:
+    """Run ``population`` devices; returns what failed (empty when it passed)."""
+    result = run_population(population, seed=SEED)
+    print(
+        f"{population:>6} devices  {result.gateways:>3} gw  "
+        f"{result.events_processed:>9} events  "
+        f"{result.events_per_sec:>9.0f} ev/s  "
+        f"{result.wall_per_task_s * 1e3:>8.2f} ms/task  "
+        f"{result.peak_rss_mb:>7.1f} MiB peak RSS"
     )
-    assert result.tasks_completed == baseline["tasks_completed"]
-
-    # Throughput gate: generous margin for machine variance, fatal for
-    # algorithmic regressions.
-    floor = baseline["events_per_sec"] * (1.0 - MAX_REGRESSION)
-    assert result.events_per_sec >= floor, (
-        f"kernel throughput regressed >{MAX_REGRESSION:.0%}: baseline "
-        f"{baseline['events_per_sec']:.0f} ev/s, floor {floor:.0f}, "
-        f"got {result.events_per_sec:.0f}"
-    )
-    return {
-        "population": population,
-        "baseline_events_per_sec": baseline["events_per_sec"],
-        "events_per_sec": result.events_per_sec,
-        "events_processed": result.events_processed,
-        "wall_per_task_s": result.wall_per_task_s,
-        "peak_rss_mb": result.peak_rss_mb,
-    }
+    failures = []
+    if result.events_processed != events:
+        failures.append(
+            f"{population} devices: {result.events_processed} events, pinned "
+            f"{events} — the simulated timeline changed"
+        )
+    if population == FLOOR_POPULATION and result.events_per_sec < EVENTS_PER_SEC_FLOOR:
+        failures.append(
+            f"{population} devices: {result.events_per_sec:.0f} ev/s, "
+            f"floor {EVENTS_PER_SEC_FLOOR:.0f}"
+        )
+    return failures
 
 
-# -- pytest entry points -------------------------------------------------------
+def main() -> int:
+    failures = [f for pop, events in PINNED_EVENTS for f in check(pop, events)]
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    print("scale gate: " + ("FAILED" if failures else "OK"))
+    return 1 if failures else 0
 
-
-def test_scale_events_deterministic():
-    """Same seed + population → identical simulated timeline, twice."""
-    a = run_population(GATE_POPULATION, seed=0)
-    b = run_population(GATE_POPULATION, seed=0)
-    assert a.events_processed == b.events_processed
-    assert a.sim_time_s == b.sim_time_s
-    assert a.tasks_completed == b.tasks_completed == GATE_POPULATION
-
-
-def test_scale_gate_vs_committed_baseline(emit):
-    report = run_gate()
-    emit(
-        f"scale gate: {report['events_per_sec']:.0f} ev/s vs baseline "
-        f"{report['baseline_events_per_sec']:.0f} ev/s "
-        f"({report['events_processed']} events, "
-        f"{report['wall_per_task_s'] * 1e3:.2f} ms/task, "
-        f"{report['peak_rss_mb']:.1f} MB RSS)"
-    )
-
-
-def test_scale_population_benchmark(benchmark):
-    result = benchmark.pedantic(
-        run_population, args=(GATE_POPULATION,), kwargs={"seed": 0}, rounds=1
-    )
-    assert result.tasks_completed == GATE_POPULATION
-
-
-# -- standalone CLI (CI) -------------------------------------------------------
 
 if __name__ == "__main__":
-    report = run_gate()
-    print(json.dumps(report, indent=2, sort_keys=True))
-    print("scale gate: OK")
+    sys.exit(main())

@@ -30,6 +30,9 @@ SRC = ROOT / "src" / "repro"
 
 #: Arguments to ``python``; every run starts in one scratch directory, so
 #: the traced fig12 run leaves ``smoke.jsonl`` where the trace CLI reads it.
+#: The profile hook slows the scale gate about 1.8x, so on a slow host its
+#: throughput floor can fail and list it as a failed entry point; both its
+#: runs finish, and are recorded, before it checks the floor.
 ENTRY_POINTS = [
     *(
         [str(ROOT / "benchmarks/e2e/child.py"), "--workload", name, "--seed", "0",
@@ -43,9 +46,7 @@ ENTRY_POINTS = [
     ["-m", "repro.telemetry.cli", "validate", "smoke.json"],
     ["-m", "repro.telemetry.cli", "summary", "smoke.jsonl", "--top", "5"],
     ["-m", "repro.telemetry.cli", "critical-path", "smoke.jsonl"],
-    ["-m", "repro.experiments.runner", "scale", "--max-n", "1000"],
-    ["-m", "repro.experiments.scale", "--populations", "100", "--seed", "0", "--out",
-     "scale.json"],
+    [str(ROOT / "benchmarks/bench_scale.py")],
     ["-m", "repro.simtest.cli", "run", "--seeds", "200"],
     ["-m", "repro.simtest.cli", "replay", "3"],
     *([str(path)] for path in sorted((ROOT / "examples").glob("*.py"))),

@@ -11,9 +11,6 @@ Usage (installed as ``pdagent-experiments``)::
     pdagent-experiments streaming    # resumable sessions vs store-and-forward
     pdagent-experiments churn        # rolling restart of every fleet member
     pdagent-experiments diversity    # diurnal + flash-crowd day, full app mix
-    pdagent-experiments scale        # device-population kernel sweep
-                                     #   (not part of "all" — it is the
-                                     #   perf bench, see BENCH_scale.json)
     pdagent-experiments claims       # C1 code sizes, C2 footprint
     pdagent-experiments ablations    # A1-A4
     pdagent-experiments extensions   # E1-E4
@@ -22,8 +19,8 @@ Usage (installed as ``pdagent-experiments``)::
 precision) into ``DIR`` for external plotting.
 
 ``--max-n N`` caps a sweep: the transaction counts of fig12 and fig13, the
-largest population of overload, fleet, churn and scale, and the diversity
-day's device count.  The experiments that run no sweep (faults, streaming,
+largest population of overload, fleet and churn, and the diversity day's
+device count.  The experiments that run no sweep (faults, streaming,
 claims, ablations, extensions) refuse it; ``all --max-n N`` caps the sweeps
 only.
 
@@ -55,7 +52,6 @@ from . import (
     fig13,
     fleet,
     overload,
-    scale,
     streaming,
 )
 
@@ -119,21 +115,6 @@ def _population_sweep(name: str, run_sweep, populations: tuple[int, ...]):
     return run
 
 
-def _run_scale(args, collector=None):
-    result = scale.run_scale_sweep(
-        _populations(args, scale.DEFAULT_POPULATIONS), seed=args.seed
-    )
-    print(result.render())
-    rows = ["population,gateways,events_processed,events_per_sec"]
-    rows += [
-        f"{r.population},{r.gateways},"
-        f"{r.events_processed},{r.events_per_sec:.1f}"
-        for r in result.populations
-    ]
-    _write_csv(args, "scale", "\n".join(rows) + "\n")
-    return result
-
-
 def _run_diversity(args, collector=None):
     """Diurnal + flash-crowd day; --max-n caps the device population."""
     n_devices = diversity.DEFAULT_DEVICES
@@ -149,7 +130,6 @@ def _run_diversity(args, collector=None):
 _EXPERIMENTS = {
     "fig12": _run_fig12,
     "diversity": _run_diversity,
-    "scale": _run_scale,
     "churn": _population_sweep(
         "churn", fleet.run_churn_sweep, fleet.CHURN_POPULATIONS
     ),

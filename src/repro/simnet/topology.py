@@ -195,7 +195,7 @@ class Network:
             return [src]
         key = (src, dst)
         path = self._routes.get(key)
-        if path is None:
+        if not path:  # not cached, or a core cached with no route
             if src not in self._nodes or dst not in self._nodes:
                 raise KeyError(f"route endpoints {src!r}/{dst!r} must be nodes")
             path = self._leaf_route(src, dst)
@@ -223,7 +223,8 @@ class Network:
 
         Any other core (a tie, a mesh, an AP whose uplink is down while its
         devices still link to it) costs one :meth:`_search`.  A settled or
-        searched core is cached under its own pair.  The spliced path is the
+        searched core is cached under its own pair, a core with no route as
+        an empty path, until the topology changes.  The spliced path is the
         one networkx returns for ``src`` -> ``dst`` whenever the shortest
         path is unique, as it is on a tree.  A walk that comes back to a
         node it peeled is a closed loop short of the other end: no route.
@@ -262,13 +263,13 @@ class Network:
                 middle = [core_src, node]
             else:
                 middle = self._search(*core)
-                if middle is None:
-                    return None
             self._routes[core] = middle
+        if not middle:
+            return None
         return list(head) + middle[1:-1] + list(tail)[::-1]
 
-    def _search(self, src: str, dst: str) -> Optional[list[str]]:
-        """``nx.shortest_path`` weighted by base latency; None if there is none.
+    def _search(self, src: str, dst: str) -> list[str]:
+        """``nx.shortest_path`` weighted by base latency; empty if there is none.
 
         networkx is imported here, on the first search, and the graph it
         searches is built from the adjacency maps at most once per topology
@@ -288,7 +289,7 @@ class Network:
         try:
             return nx.shortest_path(graph, src, dst, weight="weight")
         except nx.NetworkXNoPath:
-            return None
+            return []
 
     def _path(self, src: str, dst: str) -> tuple[list[Link], float]:
         """The links along the current route and their minimum bandwidth."""

@@ -17,9 +17,10 @@ The fig12 cell pins a single-gateway GPRS deployment; the two baseline
 cells pin the same deployment driven over plain HTTP by the client-server
 runner (the PDA) and the web-based runner (the LAN desktop).  The E4 and
 A1 rows (client-agent-server against PDAgent, and the four gateway
-selection policies) are pinned value for value at their default seeds.  A
-digest that differs on another interpreter version is a determinism
-finding, not a reason to re-pin.
+selection policies) are pinned value for value at their default seeds, and
+so is the 100-device population run at seed 0 (two gateways, one e-banking
+task per device).  A digest that differs on another interpreter version is
+a determinism finding, not a reason to re-pin.
 """
 
 import hashlib
@@ -30,6 +31,7 @@ import pytest
 from repro.core import PDAgentConfig
 from repro.experiments.ablations import run_selection_ablation
 from repro.experiments.extensions import run_cas_comparison
+from repro.experiments.scale import run_population
 from repro.experiments.scenario import build_scenario, run_pdagent_batch
 from repro.simtest import generate, run_spec
 from repro.telemetry.exporters import TraceCollector
@@ -86,6 +88,9 @@ SELECTION_ROWS_GOLDEN = [
     ("random", 10.699622218050708, "gw-3", 0),
     ("round_robin", 16.71018728677302, "gw-0", 0),
 ]
+
+#: run_population(100, seed=0): (events_processed, repr(sim_time_s), tasks)
+POPULATION_GOLDEN = (12203, "608.0457157255474", 100)
 
 
 def sha256(text: str) -> str:
@@ -149,3 +154,9 @@ def test_selection_ablation_rows_match_golden():
         for r in run_selection_ablation()
     ]
     assert rows == SELECTION_ROWS_GOLDEN
+
+
+def test_population_matches_golden():
+    result = run_population(100, seed=0)
+    pinned = (result.events_processed, repr(result.sim_time_s), result.tasks_completed)
+    assert pinned == POPULATION_GOLDEN

@@ -69,7 +69,7 @@ class TestLeafRouting:
     def test_population_run_searches_no_graph(self, monkeypatch):
         """Every node of a scale deployment hangs off the backbone by one
         duplex link, so leaf peeling routes every pair without a networkx
-        search (a full-graph search per pair made the sweep O(N^2))."""
+        search (a full-graph search per pair made a population run O(N^2))."""
         searches = []
         search = nx.shortest_path
 
@@ -255,13 +255,6 @@ class TestScaleHarness:
         assert result.events_per_sec > 0
         assert result.wall_per_task_s > 0
         assert result.sim_time_s > 0
-
-    def test_explicit_fleet_size_honoured(self):
-        """An explicit fleet size is used as-is, and every task still
-        completes with round-robin device→gateway assignment."""
-        result = run_population(POP, seed=0, n_gateways=4)
-        assert result.gateways == 4
-        assert result.tasks_completed == POP
 
 
 class TestPeakRssUnits:

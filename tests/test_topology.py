@@ -376,6 +376,28 @@ class TestRoutePins:
         assert searches == []
         assert_routes_match_networkx(net)
 
+    def test_core_with_no_route_is_searched_once(self, searches):
+        """With ap-1's uplink down its three devices still link to it, so the
+        ``(ap-1, backbone)`` core is searched.  The search finds no route,
+        and the core stays cached as such until the topology changes: every
+        route through it, that pair's own included, misses without another
+        search, and after a link changes state the next miss searches
+        again.  (ap-0 serves one device, so its cut is a closed loop that
+        needs no search.)"""
+        net = self._ap_cells().network
+        net.set_link_state("ap-1", "backbone", up=False)
+        for src, dst in [
+            ("dev-1", "gw-0"), ("dev-1", "gw-0"), ("dev-2", "central"),
+            ("ap-1", "backbone"), ("ap-1", "backbone"),
+        ]:
+            with pytest.raises(NoRouteError, match=f"^no route {src} -> {dst}$"):
+                net.route(src, dst)
+        assert searches == [("ap-1", "backbone")]
+        net.set_link_state("gw-1", "backbone", up=False)
+        with pytest.raises(NoRouteError):
+            net.route("dev-1", "gw-0")
+        assert searches == [("ap-1", "backbone")] * 2
+
     @pytest.mark.parametrize(
         "a_to_x, x_to_b",
         [(0.01, 0.0), (0.0, 0.01)],
