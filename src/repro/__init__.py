@@ -16,7 +16,11 @@ every substrate the paper's system depends on:
 :mod:`repro.core`       **PDAgent itself**: device platform, gateway,
                         central server, packed information, §3.6 API
 :mod:`repro.baselines`  client-server / web-based / client-agent-server
-:mod:`repro.apps`       e-banking, food search, newswire applications
+:mod:`repro.apps`       e-banking, food search, m-commerce, workflow,
+                        newswire, ride dispatch, auction sniping and job
+                        farming; :mod:`repro.apps.mix` deploys six at once
+:mod:`repro.telemetry`  causal spans, the metrics registry, JSONL export
+:mod:`repro.simtest`    seeded scenario swarm with global invariants
 :mod:`repro.experiments` Figure 12/13 + claims + ablation harness
 =====================  ======================================================
 

@@ -4,9 +4,13 @@
 * :mod:`~repro.apps.foodsearch` — the paper's other named example, with
   context-adaptive itinerary extension;
 * :mod:`~repro.apps.newswire` — a fan-out digest exercising cloning;
+* :mod:`~repro.apps.mcommerce`, :mod:`~repro.apps.workflow` — the paper's
+  future work (§5): comparison shopping and approval chains;
 * :mod:`~repro.apps.ridedispatch` — latency-critical geo-sharded matching;
 * :mod:`~repro.apps.auction` — deadline-critical sniping (PI deadlines);
-* :mod:`~repro.apps.jobfarm` — throughput-critical fan-out/merge farming.
+* :mod:`~repro.apps.jobfarm` — throughput-critical fan-out/merge farming;
+* :mod:`~repro.apps.mix` — the world of six of them that the simulation
+  swarm and the diversity day deploy.
 """
 
 from .auction import (

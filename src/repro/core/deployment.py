@@ -75,8 +75,8 @@ class DeploymentBuilder:
     >>> builder = DeploymentBuilder(master_seed=42)
     >>> builder.add_central("central")                    # doctest: +SKIP
     >>> builder.add_gateway("gw-0", uplink="WAN")         # doctest: +SKIP
-    >>> builder.add_site("bank-a", uplink="WAN")          # doctest: +SKIP
-    >>> builder.add_device("pda", gateway_link="GPRS")    # doctest: +SKIP
+    >>> builder.add_site("bank-a")                        # doctest: +SKIP
+    >>> builder.add_device("pda", wireless="GPRS")        # doctest: +SKIP
     >>> deployment = builder.build()                      # doctest: +SKIP
     """
 
@@ -110,12 +110,12 @@ class DeploymentBuilder:
         return link_profile(link) if isinstance(link, str) else link
 
     # ------------------------------------------------------------ infrastructure
-    def add_central(self, address: str, uplink: LinkSpec | str = "LAN") -> "DeploymentBuilder":
-        """Create the central server on a node wired to the backbone."""
+    def add_central(self, address: str) -> "DeploymentBuilder":
+        """Create the central server on a node wired to the backbone (LAN)."""
         if self._central is not None:
             raise ValueError("deployment already has a central server")
         self.network.add_node(address, kind="server")
-        self.network.add_duplex_link(address, self._backbone, self._resolve_link(uplink))
+        self.network.add_duplex_link(address, self._backbone, link_profile("LAN"))
         self._central = CentralServer(self.network, address, self.vault)
         self._central_address = address
         return self
@@ -154,14 +154,12 @@ class DeploymentBuilder:
         return self
 
     def add_site(
-        self,
-        address: str,
-        uplink: LinkSpec | str = "WAN",
-        services: Optional[list[ServiceAgent]] = None,
+        self, address: str, services: Optional[list[ServiceAgent]] = None
     ) -> "DeploymentBuilder":
-        """Create a network site with a MAS server and its service agents."""
+        """Create a network site (WAN to the backbone) with a MAS server and
+        its service agents."""
         self.network.add_node(address, kind="site")
-        self.network.add_duplex_link(address, self._backbone, self._resolve_link(uplink))
+        self.network.add_duplex_link(address, self._backbone, link_profile("WAN"))
         mas = MobileAgentServer(
             self.network,
             address,
@@ -172,6 +170,13 @@ class DeploymentBuilder:
         self._mas_servers[address] = mas
         for service in services or []:
             mas.register_service(service)
+        return self
+
+    def add_access_point(self, address: str) -> "DeploymentBuilder":
+        """Create an access-point router wired to the backbone (LAN); a
+        device lands in its cell with ``add_device(..., attach_to=address)``."""
+        self.network.add_node(address, kind="router")
+        self.network.add_duplex_link(address, self._backbone, link_profile("LAN"))
         return self
 
     def add_device(

@@ -31,37 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
-from ..apps import (
-    AuctionHouseServiceAgent,
-    AuctionSnipeAgent,
-    BankServiceAgent,
-    DirectoryServiceAgent,
-    DriverBoardServiceAgent,
-    EBankingAgent,
-    FoodSearchAgent,
-    GridForemanServiceAgent,
-    GridWorkerServiceAgent,
-    JobCourierAgent,
-    JobFarmAgent,
-    RideDispatchAgent,
-    ShoppingAgent,
-    VendorServiceAgent,
-    auction_service_code,
-    ebanking_service_code,
-    foodsearch_service_code,
-    jobfarm_service_code,
-    make_drivers,
-    make_inventory,
-    make_listings,
-    make_lots,
-    make_transactions,
-    mcommerce_service_code,
-    ridedispatch_service_code,
-)
+from ..apps import mix
 from ..core import Deployment, DeploymentBuilder, PDAgentConfig
 from ..core.errors import DeadlineExpiredError, PDAgentError
-from ..device import link_profile
-from ..mas import Stop
 from ..simnet.rng import StreamFactory
 from ..simtest.traffic import FlashCrowd, TrafficSpec, sample_arrivals
 from ..telemetry.exporters import TraceCollector
@@ -117,8 +89,6 @@ FLASH_JOIN_P = 0.75
 #: a device stuck behind enough shed waits arrives after its lot closes
 #: and the gateway refuses the dispatch outright.
 DEADLINE_SLACK_S = (90.0, 150.0)
-
-_ZONES = ("downtown", "airport", "harbor", "uptown")
 
 
 def diversity_config() -> PDAgentConfig:
@@ -253,45 +223,10 @@ def _build(seed: int, n_devices: int) -> Deployment:
     builder.add_central("central")
     for g in range(N_GATEWAYS):
         builder.add_gateway(f"gw-{g}")
-    for i, site in enumerate(SITES):
-        partner = SITES[(i + 1) % len(SITES)]
-        builder.add_site(
-            site,
-            services=[
-                BankServiceAgent(bank_name=site),
-                DirectoryServiceAgent(make_listings(i), partner=partner),
-                VendorServiceAgent(make_inventory(i)),
-                DriverBoardServiceAgent(make_drivers(i)),
-                AuctionHouseServiceAgent(make_lots(i)),
-                GridWorkerServiceAgent(),
-                GridForemanServiceAgent(),
-            ],
-        )
-    for cls in (
-        EBankingAgent,
-        FoodSearchAgent,
-        ShoppingAgent,
-        RideDispatchAgent,
-        AuctionSnipeAgent,
-        JobFarmAgent,
-        JobCourierAgent,
-    ):
-        builder.register_agent_class(cls)
-    for code in (
-        ebanking_service_code(),
-        foodsearch_service_code(),
-        mcommerce_service_code(),
-        ridedispatch_service_code(),
-        auction_service_code(),
-        jobfarm_service_code(),
-    ):
-        builder.publish(code)
+    mix.install(builder, SITES)
     # City cells: AP routers between the device radios and the backbone.
     for j in range(N_APS):
-        builder.network.add_node(f"ap-{j}", kind="router")
-        builder.network.add_duplex_link(
-            f"ap-{j}", "backbone", link_profile("LAN")
-        )
+        builder.add_access_point(f"ap-{j}")
     for i in range(n_devices):
         builder.add_device(
             f"dev-{i}",
@@ -335,54 +270,40 @@ def _plan_tasks(
                     3,
                 )
                 flash_retimed += 1
-        app = str(apps_s.choice(list(APP_MIX)))
-        site = SITES[i % len(SITES)]
+        app = apps_s.choice(APP_MIX)
+        sites = [SITES[i % len(SITES)]]
         deadline = 0.0
         if app == "ebanking":
-            service, params = "ebanking", {
-                "transactions": make_transactions([site], 1)
-            }
-            stops = [Stop(site, task="banking")]
+            fields: dict[str, Any] = {"n_transactions": 1}
         elif app == "foodsearch":
-            service, params = "foodsearch", {
-                "cuisine": str(params_s.choice(["cantonese", "thai", "italian"])),
+            fields = {
+                "cuisine": params_s.choice(mix.CUISINES),
                 "max_price": params_s.randint(80, 200),
-                "limit": 5,
             }
-            stops = [Stop(site, task="search")]
         elif app == "mcommerce":
-            service, params = "mcommerce", {
-                "item": str(params_s.choice(["camera", "phone", "pda"])),
+            fields = {
+                "item": params_s.choice(mix.ITEMS),
                 "budget": round(params_s.uniform(250.0, 450.0), 3),
             }
-            stops = [Stop(site, task="shopping")]
         elif app == "ridedispatch":
-            service, params = "ridedispatch", {
-                "zone": str(params_s.choice(list(_ZONES))),
-                "max_eta_s": 600.0,
-            }
-            stops = [Stop(site, task="match")]
+            fields = {"zone": params_s.choice(mix.ZONES)}
         elif app == "auctionsnipe":
             deadline = round(
                 arrival + params_s.uniform(*DEADLINE_SLACK_S), 3
             )
-            service, params = "auctionsnipe", {
+            fields = {
                 "lot": f"lot-{params_s.randint(0, 5)}",
                 "budget": round(params_s.uniform(150.0, 520.0), 3),
                 "deadline": deadline,
             }
-            stops = [Stop(site, task="quote")]
-        else:  # jobfarm
+        else:  # jobfarm: shards on the device's site and the next one
             size = params_s.randint(1, 3)
-            shard_sites = [site, SITES[(i + 1) % len(SITES)]]
-            service, params = "jobfarm", {
-                "job": {
-                    "name": f"{params_s.choice(['render', 'index'])}-{size}",
-                    "size": size,
-                },
-                "sites": shard_sites,
+            fields = {
+                "job": f"{params_s.choice(['render', 'index'])}-{size}",
+                "job_size": size,
             }
-            stops = [Stop(shard_sites[0], task="farm")]
+            sites.append(SITES[(i + 1) % len(SITES)])
+        service, params, stops = mix.task(app, sites, **fields)
         plans.append(
             {
                 "device": i,

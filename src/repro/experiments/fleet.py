@@ -55,7 +55,6 @@ from ..apps.ebanking import (
 from ..core import Deployment, DeploymentBuilder, PDAgentConfig
 from ..core.errors import PDAgentError
 from ..core.gateway import ticket_origin
-from ..device import link_profile
 from ..mas import Stop
 from ..telemetry.exporters import TraceCollector
 from .report import format_table, to_csv
@@ -103,8 +102,7 @@ def build_world(
         builder.add_gateway(gw)
     for bank in BANKS:
         builder.add_site(bank, services=[BankServiceAgent(bank_name=bank)])
-    builder.network.add_node(ACCESS_POINT, kind="router")
-    builder.network.add_duplex_link(ACCESS_POINT, "backbone", link_profile("LAN"))
+    builder.add_access_point(ACCESS_POINT)
     for k in range(n_devices):
         builder.add_device(
             f"pda-{k}", profile="PDA", wireless="WLAN", attach_to=ACCESS_POINT

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Any, Generator, Iterable, Optional
 from .kernel import Simulator
 from .link import Link, LinkSpec
 from .node import Node
+from .primitives import Process
 from .rng import StreamFactory
 from .trace import Tracer
 from repro.telemetry.spans import Telemetry
@@ -344,18 +345,22 @@ class Network:
     # -- datagram service ------------------------------------------------------
     def send_datagram(
         self, src: str, dst: str, payload: Any = None, size: int = 1
-    ) -> None:
+    ) -> Process:
         """Fire-and-forget delivery of a small probe message.
 
-        Delivery is a background process; the datagram appears in the
-        destination node's :attr:`~repro.simnet.node.Node.datagrams` mailbox
-        after the sampled one-way delay.
+        Delivery is a background process, returned; the datagram appears in
+        the destination node's :attr:`~repro.simnet.node.Node.datagrams`
+        mailbox after the sampled one-way delay.  A datagram with no route
+        at the send time is dropped, and its process still ends ok.
         """
         dgram = Datagram(src, dst, payload, size, self.sim.now)
-        self.sim.process(self._deliver(dgram), name=f"dgram:{src}->{dst}")
+        return self.sim.process(self._deliver(dgram), name=f"dgram:{src}->{dst}")
 
     def _deliver(self, dgram: Datagram) -> Generator:
-        delay, _ = self.sample_path_delay(dgram.src, dgram.dst, dgram.size)
+        try:
+            delay, _ = self.sample_path_delay(dgram.src, dgram.dst, dgram.size)
+        except NoRouteError:
+            return
         yield self.sim.timeout(delay)
         self.node(dgram.dst).datagrams.put(dgram)
         self.telemetry.metrics.counter("datagrams_delivered").inc()

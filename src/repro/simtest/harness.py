@@ -20,46 +20,10 @@ bug even in a chaos run.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Generator, Optional
 
-from ..apps.auction import (
-    AuctionHouseServiceAgent,
-    AuctionSnipeAgent,
-    auction_service_code,
-    make_lots,
-)
-from ..apps.ebanking import (
-    BankServiceAgent,
-    EBankingAgent,
-    ebanking_service_code,
-    make_transactions,
-)
-from ..apps.foodsearch import (
-    DirectoryServiceAgent,
-    FoodSearchAgent,
-    foodsearch_service_code,
-    make_listings,
-)
-from ..apps.jobfarm import (
-    GridForemanServiceAgent,
-    GridWorkerServiceAgent,
-    JobCourierAgent,
-    JobFarmAgent,
-    jobfarm_service_code,
-)
-from ..apps.mcommerce import (
-    ShoppingAgent,
-    VendorServiceAgent,
-    make_inventory,
-    mcommerce_service_code,
-)
-from ..apps.ridedispatch import (
-    DriverBoardServiceAgent,
-    RideDispatchAgent,
-    make_drivers,
-    ridedispatch_service_code,
-)
+from ..apps import mix
 from ..core import DeploymentBuilder, PDAgentConfig
 from ..core.deployment import Deployment
 from ..core.gateway import ticket_origin
@@ -199,40 +163,12 @@ def build_deployment(spec: ScenarioSpec) -> Deployment:
     builder.add_central("central")
     for gw in spec.gateways:
         builder.add_gateway(gw)
-    sites = spec.sites
-    for i, site in enumerate(sites):
-        partner = sites[(i + 1) % len(sites)] if len(sites) > 1 else ""
-        builder.add_site(
-            site,
-            services=[
-                BankServiceAgent(bank_name=site),
-                DirectoryServiceAgent(make_listings(i), partner=partner),
-                VendorServiceAgent(make_inventory(i)),
-                DriverBoardServiceAgent(make_drivers(i)),
-                AuctionHouseServiceAgent(make_lots(i)),
-                GridWorkerServiceAgent(),
-                GridForemanServiceAgent(),
-            ],
-        )
-    builder.register_agent_class(EBankingAgent)
-    builder.register_agent_class(FoodSearchAgent)
-    builder.register_agent_class(ShoppingAgent)
-    builder.register_agent_class(RideDispatchAgent)
-    builder.register_agent_class(AuctionSnipeAgent)
-    builder.register_agent_class(JobFarmAgent)
-    builder.register_agent_class(JobCourierAgent)
-    builder.publish(ebanking_service_code())
-    builder.publish(foodsearch_service_code())
-    builder.publish(mcommerce_service_code())
-    builder.publish(ridedispatch_service_code())
-    builder.publish(auction_service_code())
-    builder.publish(jobfarm_service_code())
+    mix.install(builder, spec.sites)
     # Access points: router nodes between device radios and the backbone,
     # so mobility (re-homing to another AP) and AP-uplink faults are real
     # topology events, not no-ops.
     for j in range(spec.n_aps):
-        builder.network.add_node(f"ap-{j}", kind="router")
-        builder.network.add_duplex_link(f"ap-{j}", "backbone", link_profile("LAN"))
+        builder.add_access_point(f"ap-{j}")
     for dev in spec.devices:
         builder.add_device(
             dev.name,
@@ -283,62 +219,6 @@ def _fault_schedule(spec: ScenarioSpec) -> FaultSchedule:
 
 
 # ---------------------------------------------------------------- task drive
-def _task_params(spec_task: TaskSpec) -> tuple[str, dict[str, Any], list[Stop]]:
-    """(service, params, stops) for one TaskSpec."""
-    sites = list(spec_task.sites)
-    if spec_task.app == "ebanking":
-        return (
-            "ebanking",
-            {"transactions": make_transactions(sites, spec_task.n_transactions)},
-            [Stop(site, task="banking") for site in sites],
-        )
-    if spec_task.app == "mcommerce":
-        return (
-            "mcommerce",
-            {"item": spec_task.item, "budget": spec_task.budget},
-            [Stop(site, task="shopping") for site in sites],
-        )
-    if spec_task.app == "ridedispatch":
-        return (
-            "ridedispatch",
-            {"zone": spec_task.zone or "downtown", "max_eta_s": 600.0},
-            [Stop(site, task="match") for site in sites],
-        )
-    if spec_task.app == "auctionsnipe":
-        return (
-            "auctionsnipe",
-            {
-                "lot": spec_task.lot or "lot-0",
-                "budget": spec_task.budget,
-                "deadline": spec_task.deadline,
-            },
-            [Stop(site, task="quote") for site in sites],
-        )
-    if spec_task.app == "jobfarm":
-        # The itinerary carries only the rendezvous; the fan-out to the
-        # remaining shard sites happens inside the MAS tier via couriers.
-        return (
-            "jobfarm",
-            {
-                "job": {
-                    "name": spec_task.job or "job-0",
-                    "size": max(1, spec_task.job_size),
-                },
-                "sites": sites,
-            },
-            [Stop(sites[0], task="farm")],
-        )
-    return (
-        "foodsearch",
-        {
-            "cuisine": spec_task.cuisine,
-            "max_price": spec_task.max_price,
-            "limit": 5,
-        },
-        [Stop(site, task="search") for site in sites],
-    )
-
-
 class _Harness:
     """One scenario run's mutable state (ledgers the invariants audit)."""
 
@@ -526,12 +406,18 @@ class _Harness:
             sites=spec_task.sites if spec_task.app == "jobfarm" else (),
         )
         self.outcomes.append(outcome)
-        service, params, stops = _task_params(spec_task)
         yield from self._drive(
-            outcome, service, params, stops, dev.pinned_gateway, spec_task.start,
+            outcome, *mix.task(**asdict(spec_task)),
+            dev.pinned_gateway, spec_task.start,
             roam_retry=spec_task.roam_retry,
             session=spec_task.session,
             deadline=spec_task.deadline,
+        )
+
+    def _quick_search(self) -> tuple[str, dict[str, Any], list[Stop]]:
+        """The burst's and the injection's search of the first site."""
+        return mix.task(
+            "foodsearch", self.spec.sites[:1], cuisine="thai", max_price=200, limit=3
         )
 
     def _burst_task(self, k: int) -> Generator:
@@ -539,28 +425,16 @@ class _Harness:
         assert burst is not None
         outcome = TaskOutcome(device=burst.device, app="foodsearch", burst=True)
         self.outcomes.append(outcome)
-        site = self.spec.sites[0]
         yield from self._drive(
-            outcome,
-            "foodsearch",
-            {"cuisine": "thai", "max_price": 200, "limit": 3},
-            [Stop(site, task="search")],
-            burst.gateway,
-            burst.at,
+            outcome, *self._quick_search(), burst.gateway, burst.at
         )
 
     def _injected_task(self) -> Generator:
         dev = self.spec.devices[0]
         outcome = TaskOutcome(device=dev.name, app="foodsearch", injected=True)
         self.outcomes.append(outcome)
-        site = self.spec.sites[0]
         yield from self._drive(
-            outcome,
-            "foodsearch",
-            {"cuisine": "thai", "max_price": 200, "limit": 3},
-            [Stop(site, task="search")],
-            self.spec.gateways[0],
-            1.0,
+            outcome, *self._quick_search(), self.spec.gateways[0], 1.0,
             deploy_twice=True,
         )
 

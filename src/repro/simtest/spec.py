@@ -2,9 +2,9 @@
 
 A :class:`ScenarioSpec` is a *complete, declarative* description of one
 randomized end-to-end scenario: topology sizes, device population, per-device
-task mix over the three demo applications, mobility, a fault schedule,
-gateway crash-restart points, and an optional overload burst.  Two
-properties make it the unit of the model checker:
+task mix over the six applications of :mod:`repro.apps.mix`, mobility, a
+fault schedule, gateway crash-restart points, drains, and an optional
+overload burst.  Two properties make it the unit of the model checker:
 
 * **pure function of the seed** — :func:`generate` draws every choice from
   named :class:`~repro.simnet.rng.StreamFactory` streams, so
@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Optional
 
+from ..apps.mix import CUISINES, ITEMS, ZONES
 from ..device.mobility import (
     MOBILITY_MODELS,
     MobilityRoute,
@@ -404,18 +405,15 @@ def _make_task(stream, app: str, sites: tuple[str, ...]) -> TaskSpec:
     if app == "mcommerce":
         return TaskSpec(
             app=app, sites=itinerary, start=start,
-            item=str(stream.choice(["camera", "phone", "pda"])),
+            item=stream.choice(ITEMS),
             budget=_round(stream.uniform(250.0, 450.0)),
         )
     return TaskSpec(
         app=app, sites=itinerary, start=start,
-        cuisine=str(stream.choice(["cantonese", "thai", "italian"])),
+        cuisine=stream.choice(CUISINES),
         max_price=stream.randint(80, 200),
     )
 
-
-#: Zones the ride-dispatch driver pools shard over (see apps.ridedispatch).
-_ZONES = ("downtown", "airport", "harbor", "uptown")
 
 #: Job kinds the grid farm renders (see apps.jobfarm).
 _JOB_KINDS = ("render", "align", "index", "simulate")
@@ -431,7 +429,7 @@ def _make_diverse_task(stream, app: str, sites: tuple[str, ...]) -> TaskSpec:
     if app == "ridedispatch":
         return TaskSpec(
             app=app, sites=itinerary, start=start,
-            zone=str(stream.choice(list(_ZONES))),
+            zone=stream.choice(ZONES),
         )
     if app == "auctionsnipe":
         # Deadlines are generous relative to a quiet run's deploy path

@@ -19,17 +19,22 @@ runner (the PDA) and the web-based runner (the LAN desktop).  The E4 and
 A1 rows (client-agent-server against PDAgent, and the four gateway
 selection policies) are pinned value for value at their default seeds, and
 so is the 100-device population run at seed 0 (two gateways, one e-banking
-task per device).  A digest that differs on another interpreter version is
-a determinism finding, not a reason to re-pin.
+task per device).  The 60-device diversity day at seed 0 pins the six-app
+world on a three-gateway fleet with AP cells: its events, end time, and a
+digest of every outcome and per-class latency.  A digest that differs on
+another interpreter version is a determinism finding, not a reason to
+re-pin.
 """
 
 import hashlib
 import io
+import json
 
 import pytest
 
 from repro.core import PDAgentConfig
 from repro.experiments.ablations import run_selection_ablation
+from repro.experiments.diversity import run_diversity
 from repro.experiments.extensions import run_cas_comparison
 from repro.experiments.scale import run_population
 from repro.experiments.scenario import build_scenario, run_pdagent_batch
@@ -91,6 +96,14 @@ SELECTION_ROWS_GOLDEN = [
 
 #: run_population(100, seed=0): (events_processed, repr(sim_time_s), tasks)
 POPULATION_GOLDEN = (12203, "608.0457157255474", 100)
+
+#: run_diversity(seed=0, n_devices=60): (events_processed, repr(sim_time_s),
+#: sha256 of the JSON of [outcomes, {app class: latencies}])
+DIVERSITY_GOLDEN = (
+    8934,
+    "230.1700366618374",
+    "9c5316271342bd34d78af77861f0415b77eed1dae46232e974331f60dc99b18f",
+)
 
 
 def sha256(text: str) -> str:
@@ -160,3 +173,10 @@ def test_population_matches_golden():
     result = run_population(100, seed=0)
     pinned = (result.events_processed, repr(result.sim_time_s), result.tasks_completed)
     assert pinned == POPULATION_GOLDEN
+
+
+def test_diversity_day_matches_golden():
+    result = run_diversity(seed=0, n_devices=60)
+    latencies = {app: stats.latencies for app, stats in sorted(result.classes.items())}
+    digest = sha256(json.dumps([result.outcomes, latencies], sort_keys=True))
+    assert (result.events_processed, repr(result.sim_time_s), digest) == DIVERSITY_GOLDEN

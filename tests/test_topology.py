@@ -176,6 +176,22 @@ class TestDatagramsAndPing:
         assert dgram.payload == {"hello": 1}
         assert net.sim.now >= 0.2
 
+    def test_unroutable_datagram_is_dropped(self, net):
+        """A datagram to a node cut off from the sender is dropped: its
+        delivery process ends ok, and a routable datagram still lands."""
+        net.add_node("c")
+        net.add_duplex_link("b", "c", spec())
+        net.set_link_state("b", "c", up=False)
+        lost = net.send_datagram("a", "c", payload="lost")
+        kept = net.send_datagram("a", "b", payload="kept")
+        net.sim.run()
+        assert lost.ok and lost.value is None
+        assert kept.ok
+        assert [d.payload for d in net.node("b").datagrams.items] == ["kept"]
+        assert len(net.node("c").datagrams) == 0
+        counters = net.telemetry.metrics.snapshot()["counters"]
+        assert counters["datagrams_delivered"] == 1
+
     def test_ping_measures_rtt(self, net):
         proc = net.sim.process(net.ping("a", "b"))
         rtt = net.sim.run(until=proc)
@@ -321,10 +337,7 @@ class TestRoutePins:
             builder.add_gateway(f"gw-{g}")
         builder.add_site("bank-a")
         for j in range(3):
-            builder.network.add_node(f"ap-{j}", kind="router")
-            builder.network.add_duplex_link(
-                f"ap-{j}", "backbone", link_profile("LAN")
-            )
+            builder.add_access_point(f"ap-{j}")
         for i, ap in enumerate((0, 1, 1, 1)):
             builder.add_device(f"dev-{i}", wireless="WLAN", attach_to=f"ap-{ap}")
         return builder.build()
